@@ -53,6 +53,7 @@
 //! size that divides neither the batch nor the trace.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -276,19 +277,32 @@ pub fn check_stream_parity(sys: System, trace: &[AccessEvent]) -> Result<(), Vio
     let io_err = |what: &str, e: &dyn fmt::Display| violation(O, format!("{label}: {what}: {e}"));
     let dir = std::env::temp_dir();
     for codec in [Codec::Raw, Codec::Sequitur] {
-        let path = dir.join(format!(
-            "domino-check-stream-{}-{}-{}.dmno",
+        let file = TempFile(dir.join(format!(
+            "domino-check-stream-{}-{}-{}-{}.dmno",
             std::process::id(),
+            STREAM_FILE_SEQ.fetch_add(1, Ordering::Relaxed),
             label.replace([' ', '/'], "_"),
             codec.label()
-        ));
-        write_trace_file(&path, trace, STREAM_CHUNK_EVENTS, codec)
+        )));
+        write_trace_file(&file.0, trace, STREAM_CHUNK_EVENTS, codec)
             .map_err(|e| io_err("write trace file", &e))?;
-        let result = stream_parity_one_file(sys, trace, &cfg, &path, codec);
-        std::fs::remove_file(&path).ok();
-        result?;
+        stream_parity_one_file(sys, trace, &cfg, &file.0, codec)?;
     }
     Ok(())
+}
+
+/// Numbers the stream-parity trace files of one process, so concurrent
+/// checks (the test harness runs them on sibling threads) never share a
+/// path.
+static STREAM_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A temporary file deleted on drop, so an early return cannot leak it.
+struct TempFile(std::path::PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
 }
 
 /// One codec's worth of [`check_stream_parity`]: every checked batch,

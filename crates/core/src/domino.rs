@@ -23,9 +23,7 @@
 //! fetch-modify-writeback sequence of §III-B ("Recording").
 
 use domino_mem::history::{HistoryTable, ROW_ENTRIES};
-use domino_mem::interface::{
-    CollectSink, PrefetchRequest, PrefetchSink, Prefetcher, TriggerBatch, TriggerEvent, TriggerKind,
-};
+use domino_mem::interface::{PrefetchRequest, PrefetchSink, Prefetcher, TriggerEvent, TriggerKind};
 use domino_mem::metadata::UpdateSampler;
 use domino_mem::streams::{top_up, StreamTable};
 use domino_trace::addr::LineAddr;
@@ -295,24 +293,6 @@ impl Prefetcher for Domino {
 
     fn footprint_bytes(&self) -> usize {
         self.eit.footprint_bytes() + self.ht.footprint_bytes()
-    }
-
-    fn train_predict_batch(&mut self, batch: &mut dyn TriggerBatch, sink: &mut CollectSink) {
-        // Hash-then-probe over the EIT: one read-only sweep touches the
-        // row of every pending trigger line before the serial drain's
-        // `lookup`/`update` calls chase them individually. `probe` is
-        // counter-neutral (no LRU promotion, no counters), so the drain
-        // stays bit-identical to the default path.
-        let mut warm = 0usize;
-        for &line in batch.pending_lines() {
-            if self.eit.probe(line) {
-                warm += 1;
-            }
-        }
-        std::hint::black_box(warm);
-        while let Some(event) = batch.next(sink) {
-            self.on_trigger(&event, sink);
-        }
     }
 }
 

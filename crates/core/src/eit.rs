@@ -32,64 +32,10 @@ pub struct EitEntry {
     pub pointer: u64,
 }
 
-/// A tag plus its recent continuations, most recent last.
-///
-/// Only the unbounded (idealized) backing stores owned `SuperEntry`
-/// values; the finite backing keeps the same data in a flat slab and
-/// hands out [`SuperEntryRef`] views instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuperEntry {
-    /// The indexed miss address.
-    pub tag: LineAddr,
-    /// LRU list of continuations: front = oldest, back = most recent.
-    entries: Vec<EitEntry>,
-}
-
-impl SuperEntry {
-    fn new(tag: LineAddr, capacity: usize) -> Self {
-        SuperEntry {
-            tag,
-            entries: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// The most recent continuation — Domino's immediate prediction.
-    pub fn most_recent(&self) -> Option<&EitEntry> {
-        self.entries.last()
-    }
-
-    /// Finds the entry whose address matches the next triggering event
-    /// (the two-address lookup).
-    pub fn find(&self, addr: LineAddr) -> Option<&EitEntry> {
-        self.entries.iter().rev().find(|e| e.addr == addr)
-    }
-
-    /// All entries, oldest first (analysis/tests).
-    pub fn entries(&self) -> &[EitEntry] {
-        &self.entries
-    }
-
-    /// Inserts or refreshes the continuation `(addr, pointer)` with LRU
-    /// replacement bounded by `capacity`.
-    fn update(&mut self, addr: LineAddr, pointer: u64, capacity: usize) {
-        if let Some(pos) = self.entries.iter().position(|e| e.addr == addr) {
-            let mut e = self.entries.remove(pos);
-            e.pointer = pointer;
-            self.entries.push(e);
-            return;
-        }
-        if self.entries.len() == capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push(EitEntry { addr, pointer });
-    }
-}
-
 /// A borrowed view of one super-entry, as returned by [`Eit::lookup`].
 ///
-/// Exposes the same reading surface as [`SuperEntry`] (`most_recent`,
-/// `find`, `entries`) over either backing without copying the entries
-/// out of the table.
+/// Reads the entries in place (`most_recent`, `find`, `entries`) without
+/// copying them out of the table.
 #[derive(Debug, Clone, Copy)]
 pub struct SuperEntryRef<'a> {
     /// The indexed miss address.
@@ -157,21 +103,15 @@ impl EitConfig {
     }
 }
 
-#[derive(Debug)]
-enum Backing {
-    /// Finite row array backed by a flat slab (see [`FiniteRows`]).
-    Finite(FiniteRows),
-    /// Idealized: one super-entry per tag, no row conflicts.
-    Unbounded(FxHashMap<LineAddr, SuperEntry>),
-}
-
-/// Sentinel for a row that has never been written.
-const NO_BLOCK: u32 = u32::MAX;
-
-/// The finite backing: rows index into a lazily-grown slab of
-/// super-entry blocks instead of nesting `Vec<Vec<SuperEntry>>`.
+/// The EIT's one backing: a sparse map from row key to a block of
+/// super-entry slots in a flat, lazily-grown slab.
 ///
-/// Each touched row owns one *block* of `super_cap` super-entry slots
+/// The row key is the tag's row (`row_index`) in a finite table. In the
+/// unbounded table (`rows == 0`) the key is the tag itself and each block
+/// holds a single super-entry slot, so every tag owns its row: rows never
+/// conflict and nothing is ever evicted.
+///
+/// Each written row owns one *block* of `super_cap` super-entry slots
 /// at a fixed stride; a slot is a tag, an entry count, and `entry_cap`
 /// inline [`EitEntry`] slots in the parallel `entries` slab. Within a
 /// block the occupied prefix is kept physically in LRU order (slot 0 =
@@ -179,14 +119,16 @@ const NO_BLOCK: u32 = u32::MAX;
 /// memory — one cache-line-friendly run per lookup, the same locality
 /// argument the paper makes for packing super-entries in DRAM rows.
 ///
-/// Blocks are carved on first touch only (`row_block` starts as
-/// [`NO_BLOCK`]), so a 2 M-row table costs 8 MB up front instead of
-/// ~100 MB of empty `Vec` headers, and once the working set of rows is
-/// warm the table performs no further heap allocation.
+/// A row gets its map entry and its block on its first write, so the
+/// table costs memory and set-up in proportion to the rows it has
+/// written: an empty 2 M-row table allocates nothing. Once the working
+/// set of rows is warm the table performs no further heap allocation.
 #[derive(Debug)]
-struct FiniteRows {
-    /// Row → block id, or [`NO_BLOCK`] while the row is untouched.
-    row_block: Vec<u32>,
+struct RowSlab {
+    /// Row count of a finite table; `0` keys rows by tag.
+    rows: usize,
+    /// Row key → block id, for rows written at least once.
+    row_block: FxHashMap<u64, u32>,
     /// Per-block count of occupied super-entry slots.
     occ: Vec<u8>,
     /// Super-entry tags; block `b` owns `[b*super_cap, (b+1)*super_cap)`,
@@ -202,12 +144,20 @@ struct FiniteRows {
     entry_cap: usize,
 }
 
-impl FiniteRows {
-    fn new(rows: usize, super_cap: usize, entry_cap: usize) -> Self {
+impl RowSlab {
+    fn new(cfg: &EitConfig) -> Self {
+        // An unbounded row only ever holds its own tag.
+        let super_cap = if cfg.rows == 0 {
+            1
+        } else {
+            cfg.super_entries_per_row
+        };
+        let entry_cap = cfg.entries_per_super;
         assert!(super_cap <= u8::MAX as usize, "row capacity too large");
         assert!(entry_cap <= u8::MAX as usize, "entry capacity too large");
-        FiniteRows {
-            row_block: vec![NO_BLOCK; rows],
+        RowSlab {
+            rows: cfg.rows,
+            row_block: FxHashMap::default(),
             occ: Vec::new(),
             tags: Vec::new(),
             lens: Vec::new(),
@@ -217,24 +167,41 @@ impl FiniteRows {
         }
     }
 
-    /// The block for `row`, carving a fresh one on first touch.
-    fn block_for(&mut self, row: usize) -> usize {
-        let cur = self.row_block[row];
-        if cur != NO_BLOCK {
-            return cur as usize;
+    /// The key of the row `tag` maps to.
+    fn key(&self, tag: LineAddr) -> u64 {
+        if self.rows == 0 {
+            tag.raw()
+        } else {
+            row_index(tag, self.rows)
         }
-        let b = self.occ.len();
-        self.occ.push(0);
-        let filler = LineAddr::default();
-        self.tags.resize(self.tags.len() + self.super_cap, filler);
-        self.lens.resize(self.lens.len() + self.super_cap, 0);
-        let empty = EitEntry {
-            addr: filler,
-            pointer: 0,
-        };
-        self.entries
-            .resize(self.entries.len() + self.super_cap * self.entry_cap, empty);
-        self.row_block[row] = b as u32;
+    }
+
+    /// The block of `tag`'s row, if the row has been written.
+    fn block_of(&self, tag: LineAddr) -> Option<usize> {
+        self.row_block.get(&self.key(tag)).map(|&b| b as usize)
+    }
+
+    /// The block of `tag`'s row, carving a fresh one on first write.
+    fn block_for(&mut self, tag: LineAddr) -> usize {
+        let key = self.key(tag);
+        let fresh = self.occ.len();
+        let id = self
+            .row_block
+            .entry(key)
+            .or_insert_with(|| u32::try_from(fresh).expect("EIT block count exceeds u32::MAX"));
+        let b = *id as usize;
+        if b == fresh {
+            self.occ.push(0);
+            let filler = LineAddr::default();
+            self.tags.resize(self.tags.len() + self.super_cap, filler);
+            self.lens.resize(self.lens.len() + self.super_cap, 0);
+            let empty = EitEntry {
+                addr: filler,
+                pointer: 0,
+            };
+            self.entries
+                .resize(self.entries.len() + self.super_cap * self.entry_cap, empty);
+        }
         b
     }
 
@@ -250,12 +217,7 @@ impl FiniteRows {
     }
 
     fn lookup(&mut self, tag: LineAddr) -> Option<SuperEntryRef<'_>> {
-        let row = row_index(tag, self.row_block.len());
-        let block = self.row_block[row];
-        if block == NO_BLOCK {
-            return None;
-        }
-        let b = block as usize;
+        let b = self.block_of(tag)?;
         let base = b * self.super_cap;
         let occ = self.occ[b] as usize;
         let pos = self.tags[base..base + occ].iter().position(|&t| t == tag)?;
@@ -270,21 +232,18 @@ impl FiniteRows {
     }
 
     fn probe(&self, tag: LineAddr) -> bool {
-        let row = row_index(tag, self.row_block.len());
-        let block = self.row_block[row];
-        if block == NO_BLOCK {
+        let Some(b) = self.block_of(tag) else {
             return false;
-        }
-        let base = block as usize * self.super_cap;
-        let occ = self.occ[block as usize] as usize;
+        };
+        let base = b * self.super_cap;
+        let occ = self.occ[b] as usize;
         self.tags[base..base + occ].contains(&tag)
     }
 
     /// Records `tag → (next, pointer)`; both LRU levels behave exactly
     /// like the nested-`Vec` layout. Returns an evicted tag, if any.
     fn update(&mut self, tag: LineAddr, next: LineAddr, pointer: u64) -> Option<LineAddr> {
-        let row = row_index(tag, self.row_block.len());
-        let b = self.block_for(row);
+        let b = self.block_for(tag);
         let s = self.super_cap;
         let base = b * s;
         let occ = self.occ[b] as usize;
@@ -341,12 +300,23 @@ impl FiniteRows {
         }
         evicted
     }
+
+    /// Bytes held: one map slot (key, block id, control byte) per
+    /// written row plus the slabs.
+    fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.row_block.len() * (size_of::<(u64, u32)>() + 1)
+            + self.occ.len()
+            + self.tags.len() * size_of::<LineAddr>()
+            + self.lens.len()
+            + self.entries.len() * size_of::<EitEntry>()
+    }
 }
 
-/// Multiplicative hash mapping a tag to a row.
-fn row_index(tag: LineAddr, rows: usize) -> usize {
+/// Multiplicative hash mapping a tag to one of `rows` rows.
+fn row_index(tag: LineAddr, rows: usize) -> u64 {
     let h = tag.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (h % rows as u64) as usize
+    h % rows as u64
 }
 
 /// The Enhanced Index Table.
@@ -364,32 +334,23 @@ fn row_index(tag: LineAddr, rows: usize) -> usize {
 #[derive(Debug)]
 pub struct Eit {
     cfg: EitConfig,
-    backing: Backing,
+    rows: RowSlab,
     updates: u64,
     lookups: u64,
     hits: u64,
 }
 
 impl Eit {
-    /// Creates an empty EIT.
+    /// Creates an empty EIT. Allocates nothing until the first update.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is degenerate (see [`EitConfig::validate`]).
     pub fn new(cfg: EitConfig) -> Self {
         cfg.validate();
-        let backing = if cfg.rows == 0 {
-            Backing::Unbounded(FxHashMap::default())
-        } else {
-            Backing::Finite(FiniteRows::new(
-                cfg.rows,
-                cfg.super_entries_per_row,
-                cfg.entries_per_super,
-            ))
-        };
         Eit {
+            rows: RowSlab::new(&cfg),
             cfg,
-            backing,
             updates: 0,
             lookups: 0,
             hits: 0,
@@ -400,13 +361,7 @@ impl Eit {
     /// real design) and promotes it to MRU within its row.
     pub fn lookup(&mut self, tag: LineAddr) -> Option<SuperEntryRef<'_>> {
         self.lookups += 1;
-        let found: Option<SuperEntryRef<'_>> = match &mut self.backing {
-            Backing::Unbounded(map) => map.get(&tag).map(|se| SuperEntryRef {
-                tag: se.tag,
-                entries: se.entries(),
-            }),
-            Backing::Finite(rows) => rows.lookup(tag),
-        };
+        let found = self.rows.lookup(tag);
         if found.is_some() {
             self.hits += 1;
         }
@@ -418,50 +373,25 @@ impl Eit {
     /// bumps counters, so observability code (the flight recorder's
     /// metadata probe) can call it without perturbing results.
     pub fn probe(&self, tag: LineAddr) -> bool {
-        match &self.backing {
-            Backing::Unbounded(map) => map.contains_key(&tag),
-            Backing::Finite(rows) => rows.probe(tag),
-        }
+        self.rows.probe(tag)
     }
 
     /// Records that `tag` was followed by `next`, whose History Table
     /// position is `pointer`. Allocates super-entries/entries LRU as the
     /// paper describes (§III-B, "Recording"). Returns the tag of a
-    /// super-entry evicted by capacity pressure, if any (never on the
-    /// unbounded backing) — the flight recorder logs it as metadata loss.
+    /// super-entry evicted by capacity pressure, if any (never in an
+    /// unbounded table) — the flight recorder logs it as metadata loss.
     pub fn update(&mut self, tag: LineAddr, next: LineAddr, pointer: u64) -> Option<LineAddr> {
         self.updates += 1;
-        let entry_cap = self.cfg.entries_per_super;
-        match &mut self.backing {
-            Backing::Unbounded(map) => {
-                map.entry(tag)
-                    .or_insert_with(|| SuperEntry::new(tag, entry_cap))
-                    .update(next, pointer, entry_cap);
-                None
-            }
-            Backing::Finite(rows) => rows.update(tag, next, pointer),
-        }
+        self.rows.update(tag, next, pointer)
     }
 
-    /// Approximate bytes of backing storage currently allocated. O(1):
-    /// computed from the slab lengths (finite backing) or entry counts
-    /// (unbounded), never by walking entries — the metadata service
+    /// Approximate bytes of backing storage currently allocated, which
+    /// grows with the rows written. O(1): computed from the row count and
+    /// slab lengths, never by walking entries — the metadata service
     /// polls this after every request batch for its memory budgets.
     pub fn footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
-        match &self.backing {
-            Backing::Finite(rows) => {
-                rows.row_block.len() * size_of::<u32>()
-                    + rows.occ.len()
-                    + rows.tags.len() * size_of::<LineAddr>()
-                    + rows.lens.len()
-                    + rows.entries.len() * size_of::<EitEntry>()
-            }
-            Backing::Unbounded(map) => {
-                map.len()
-                    * (size_of::<SuperEntry>() + self.cfg.entries_per_super * size_of::<EitEntry>())
-            }
-        }
+        self.rows.footprint_bytes()
     }
 
     /// `(lookups, hits, updates)` counters.
@@ -591,6 +521,24 @@ mod tests {
         for i in 0..10_000u64 {
             assert!(eit.lookup(line(i)).is_some(), "tag {i} lost");
         }
+    }
+
+    #[test]
+    fn footprint_grows_with_rows_written() {
+        let mut eit = Eit::new(EitConfig::default());
+        let mut last = eit.footprint_bytes();
+        assert!(last < 4096, "a fresh paper-sized EIT holds {last} bytes");
+        for i in 0..64u64 {
+            eit.update(line(i), line(i + 1), i);
+            let now = eit.footprint_bytes();
+            assert!(now > last, "row {i} added no bytes");
+            last = now;
+        }
+        // Refreshing written rows allocates nothing more.
+        for i in 0..64u64 {
+            eit.update(line(i), line(i + 2), i);
+        }
+        assert_eq!(eit.footprint_bytes(), last);
     }
 
     #[test]

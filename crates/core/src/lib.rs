@@ -68,5 +68,5 @@ pub(crate) fn mutate_active(name: &str) -> bool {
 
 pub use config::DominoConfig;
 pub use domino::Domino;
-pub use eit::{Eit, EitConfig, EitEntry, SuperEntry, SuperEntryRef};
+pub use eit::{Eit, EitConfig, EitEntry, SuperEntryRef};
 pub use naive::NaiveDomino;

@@ -1,6 +1,7 @@
 //! Property tests for the Enhanced Index Table: its two-level LRU
-//! behaviour is checked against a straightforward reference model over
-//! arbitrary update/lookup interleavings.
+//! behaviour is checked against straightforward reference models over
+//! arbitrary update/lookup interleavings, from tiny tables where every
+//! row conflicts to the paper's 2 M rows and the unbounded table.
 //!
 //! Interleavings are drawn from a seeded [`SimRng`] so the suite is
 //! fully deterministic and dependency-free.
@@ -8,18 +9,37 @@
 use domino::{Eit, EitConfig};
 use domino_trace::addr::LineAddr;
 use domino_trace::rng::SimRng;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
-/// Reference model: per row, an ordered list of (tag, entries) where the
-/// back is most recent; per super-entry, ordered (addr, pointer) pairs.
-#[derive(Debug, Default, Clone)]
-struct RefRow {
-    supers: VecDeque<(u64, VecDeque<(u64, u64)>)>,
+/// Continuations of one super-entry, oldest first.
+type Entries = VecDeque<(u64, u64)>;
+
+/// Records `next` (at `pointer`) as the most recent continuation,
+/// refreshing it in place or evicting the oldest at `cap`.
+fn touch(entries: &mut Entries, next: u64, pointer: u64, cap: usize) {
+    if let Some(pos) = entries.iter().position(|&(a, _)| a == next) {
+        entries.remove(pos);
+    } else if entries.len() == cap {
+        entries.pop_front();
+    }
+    entries.push_back((next, pointer));
 }
 
+/// What every reference model answers, in the EIT's terms.
+trait Model {
+    /// Applies an update; returns the tag evicted by capacity, if any.
+    fn update(&mut self, tag: u64, next: u64, pointer: u64) -> Option<u64>;
+    /// The entries of `tag`'s super-entry (promoting it), if present.
+    fn lookup(&mut self, tag: u64) -> Option<Vec<(u64, u64)>>;
+}
+
+/// Finite-table reference: per row, an ordered list of (tag, entries)
+/// where the back is most recent. Rows live in a map so a 2 M-row model
+/// stays cheap.
 #[derive(Debug)]
 struct RefEit {
-    rows: Vec<RefRow>,
+    rows: HashMap<u64, VecDeque<(u64, Entries)>>,
+    row_count: u64,
     super_cap: usize,
     entry_cap: usize,
 }
@@ -27,48 +47,84 @@ struct RefEit {
 impl RefEit {
     fn new(rows: usize, super_cap: usize, entry_cap: usize) -> Self {
         RefEit {
-            rows: vec![RefRow::default(); rows],
+            rows: HashMap::new(),
+            row_count: rows as u64,
             super_cap,
             entry_cap,
         }
     }
 
-    fn row_of(&self, tag: u64) -> usize {
-        let h = tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h % self.rows.len() as u64) as usize
+    fn row_of(&self, tag: u64) -> u64 {
+        tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) % self.row_count
     }
+}
 
-    fn update(&mut self, tag: u64, next: u64, pointer: u64) {
-        let super_cap = self.super_cap;
-        let entry_cap = self.entry_cap;
-        let idx = self.row_of(tag);
-        let row = &mut self.rows[idx];
-        let mut se = match row.supers.iter().position(|(t, _)| *t == tag) {
-            Some(pos) => row.supers.remove(pos).expect("position exists"),
+impl Model for RefEit {
+    fn update(&mut self, tag: u64, next: u64, pointer: u64) -> Option<u64> {
+        let (super_cap, entry_cap) = (self.super_cap, self.entry_cap);
+        let row = self.rows.entry(self.row_of(tag)).or_default();
+        let mut evicted = None;
+        let mut se = match row.iter().position(|(t, _)| *t == tag) {
+            Some(pos) => row.remove(pos).expect("position exists"),
             None => {
-                if row.supers.len() == super_cap {
-                    row.supers.pop_front();
+                if row.len() == super_cap {
+                    evicted = row.pop_front().map(|(t, _)| t);
                 }
                 (tag, VecDeque::new())
             }
         };
-        if let Some(pos) = se.1.iter().position(|(a, _)| *a == next) {
-            se.1.remove(pos);
-        } else if se.1.len() == entry_cap {
-            se.1.pop_front();
-        }
-        se.1.push_back((next, pointer));
-        row.supers.push_back(se);
+        touch(&mut se.1, next, pointer, entry_cap);
+        row.push_back(se);
+        evicted
     }
 
     fn lookup(&mut self, tag: u64) -> Option<Vec<(u64, u64)>> {
-        let idx = self.row_of(tag);
-        let row = &mut self.rows[idx];
-        let pos = row.supers.iter().position(|(t, _)| *t == tag)?;
-        let se = row.supers.remove(pos).expect("position exists");
+        let row_idx = self.row_of(tag);
+        let row = self.rows.get_mut(&row_idx)?;
+        let pos = row.iter().position(|(t, _)| *t == tag)?;
+        let se = row.remove(pos).expect("position exists");
         let entries: Vec<(u64, u64)> = se.1.iter().copied().collect();
-        row.supers.push_back(se);
+        row.push_back(se);
         Some(entries)
+    }
+}
+
+/// Unbounded-table reference: one super-entry per tag, never evicted.
+#[derive(Debug)]
+struct RefUnbounded {
+    supers: HashMap<u64, Entries>,
+    entry_cap: usize,
+}
+
+impl Model for RefUnbounded {
+    fn update(&mut self, tag: u64, next: u64, pointer: u64) -> Option<u64> {
+        touch(
+            self.supers.entry(tag).or_default(),
+            next,
+            pointer,
+            self.entry_cap,
+        );
+        None
+    }
+
+    fn lookup(&mut self, tag: u64) -> Option<Vec<(u64, u64)>> {
+        self.supers.get(&tag).map(|e| e.iter().copied().collect())
+    }
+}
+
+/// The reference model for a table of geometry `cfg`.
+fn reference(cfg: &EitConfig) -> Box<dyn Model> {
+    if cfg.rows == 0 {
+        Box::new(RefUnbounded {
+            supers: HashMap::new(),
+            entry_cap: cfg.entries_per_super,
+        })
+    } else {
+        Box::new(RefEit::new(
+            cfg.rows,
+            cfg.super_entries_per_row,
+            cfg.entries_per_super,
+        ))
     }
 }
 
@@ -78,57 +134,101 @@ enum Op {
     Lookup { tag: u64 },
 }
 
-fn ops(rng: &mut SimRng) -> Vec<Op> {
-    let len = 1 + rng.index(400);
+/// `len` ops, half updates and half lookups, over tags drawn from `tags`.
+fn ops(rng: &mut SimRng, len: usize, tags: &[u64]) -> Vec<Op> {
     (0..len)
         .map(|_| {
             if rng.chance(0.5) {
                 Op::Update {
-                    tag: rng.below(24),
-                    next: rng.below(24),
+                    tag: tags[rng.index(tags.len())],
+                    next: tags[rng.index(tags.len())],
                     pointer: rng.below(1000),
                 }
             } else {
-                Op::Lookup { tag: rng.below(24) }
+                Op::Lookup {
+                    tag: tags[rng.index(tags.len())],
+                }
             }
         })
         .collect()
 }
 
-/// The EIT agrees with the reference model on every lookup: same
-/// presence, same entries in the same LRU order, same pointers.
-#[test]
-fn eit_matches_reference_model() {
-    for case in 0..96u64 {
-        let mut rng = SimRng::seed(0xE17_0000 + case);
-        let ops = ops(&mut rng);
-        let rows = 1 + rng.index(5);
-        let super_cap = 1 + rng.index(3);
-        let entry_cap = 1 + rng.index(3);
-        let mut eit = Eit::new(EitConfig {
-            rows,
-            super_entries_per_row: super_cap,
-            entries_per_super: entry_cap,
-        });
-        let mut reference = RefEit::new(rows, super_cap, entry_cap);
-        for op in &ops {
-            match *op {
-                Op::Update { tag, next, pointer } => {
-                    eit.update(LineAddr::new(tag), LineAddr::new(next), pointer);
-                    reference.update(tag, next, pointer);
-                }
-                Op::Lookup { tag } => {
-                    let got = eit.lookup(LineAddr::new(tag)).map(|se| {
-                        se.entries()
-                            .iter()
-                            .map(|e| (e.addr.raw(), e.pointer))
-                            .collect::<Vec<_>>()
-                    });
-                    let want = reference.lookup(tag);
-                    assert_eq!(got, want, "divergence at tag {tag}");
-                }
+/// Drives `eit` and `model` through `ops`, asserting that they agree on
+/// every eviction, every probe and every lookup: same presence, same
+/// entries in the same LRU order, same pointers.
+fn check(eit: &mut Eit, model: &mut dyn Model, ops: &[Op], case: &str) {
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Update { tag, next, pointer } => {
+                let got = eit
+                    .update(LineAddr::new(tag), LineAddr::new(next), pointer)
+                    .map(|t| t.raw());
+                let want = model.update(tag, next, pointer);
+                assert_eq!(got, want, "{case}, op {i}: eviction diverged at tag {tag}");
+            }
+            Op::Lookup { tag } => {
+                let probed = eit.probe(LineAddr::new(tag));
+                let got = eit.lookup(LineAddr::new(tag)).map(|se| {
+                    se.entries()
+                        .iter()
+                        .map(|e| (e.addr.raw(), e.pointer))
+                        .collect::<Vec<_>>()
+                });
+                let want = model.lookup(tag);
+                assert_eq!(probed, want.is_some(), "{case}, op {i}: probe of {tag}");
+                assert_eq!(got, want, "{case}, op {i}: lookup diverged at tag {tag}");
             }
         }
+    }
+}
+
+/// The EIT agrees with the reference models on two kinds of input.
+///
+/// * Tiny tables over a small tag space: every row conflicts, so both
+///   LRU levels evict constantly. The same ops then drive the unbounded
+///   table (`rows == 0`), which keeps one super-entry per tag and never
+///   evicts, whatever the row capacity says.
+/// * Wide tags from a pool of a few thousand, in 4,096 rows, where tags
+///   still share rows, in the paper's 2 M rows, where they almost never
+///   do, and unbounded. Thousands of distinct rows get written, so the
+///   row map resizes many times mid-run.
+#[test]
+fn eit_matches_reference_model() {
+    let small_tags: Vec<u64> = (0..24).collect();
+    for case in 0..96u64 {
+        let mut rng = SimRng::seed(0xE17_0000 + case);
+        let len = 1 + rng.index(400);
+        let ops = ops(&mut rng, len, &small_tags);
+        let cfg = EitConfig {
+            rows: 1 + rng.index(5),
+            super_entries_per_row: 1 + rng.index(3),
+            entries_per_super: 1 + rng.index(3),
+        };
+        let label = format!("case {case}");
+        check(&mut Eit::new(cfg), reference(&cfg).as_mut(), &ops, &label);
+        let unbounded = EitConfig { rows: 0, ..cfg };
+        let label = format!("{label}, unbounded");
+        check(
+            &mut Eit::new(unbounded),
+            reference(&unbounded).as_mut(),
+            &ops,
+            &label,
+        );
+    }
+    let scales = [4096usize, 1 << 21, 0, 4096, 1 << 21, 0];
+    for (case, rows) in scales.into_iter().enumerate() {
+        let mut rng = SimRng::seed(0xE17_5CA1 + case as u64);
+        let pool = 1000 + rng.index(7000);
+        let wide_tags: Vec<u64> = (0..pool).map(|_| rng.next_u64()).collect();
+        let len = 4000 + rng.index(4000);
+        let ops = ops(&mut rng, len, &wide_tags);
+        let cfg = EitConfig {
+            rows,
+            super_entries_per_row: 1 + rng.index(4),
+            entries_per_super: 1 + rng.index(3),
+        };
+        let label = format!("{rows} rows, case {case}");
+        check(&mut Eit::new(cfg), reference(&cfg).as_mut(), &ops, &label);
     }
 }
 

@@ -5,23 +5,36 @@
 //! This is deliberately the same shape as `domino-serve --smoke`, but
 //! checked exhaustively: per-tenant decision digests and coverage
 //! reports are compared against a freshly computed reference for *all*
-//! tenants, not a sample. Stms keeps per-tenant metadata proportional
-//! to the short streams, so a thousand resident sessions stay cheap.
+//! tenants, not a sample. It runs for STMS and for Domino. Both keep
+//! per-tenant metadata in proportion to the short streams (Domino's EIT
+//! holds only the rows a tenant has written), so a thousand resident
+//! sessions stay cheap, and the shards' summed peak footprint is held to
+//! a bound.
 
 use domino_service::{run_load, tenant_stream, LoadPlan, MetadataService, ServiceConfig};
 use domino_sim::engine::run_coverage_session;
 use domino_sim::roster::System;
 use domino_sim::SystemConfig;
 
+/// Ceiling on the shards' summed peak footprint with a thousand
+/// sessions resident.
+const PEAK_FOOTPRINT_LIMIT: usize = 256 << 20;
+
 #[test]
 fn thousand_tenants_complete_bit_identically() {
+    for system in [System::Stms, System::Domino] {
+        thousand_tenants(system);
+    }
+}
+
+fn thousand_tenants(system: System) {
     let plan = LoadPlan {
         tenants: 1_000,
         events_per_tenant: 120,
         request_batch: 32,
         clients: 4,
         seed: 0xD0_5E,
-        system: System::Stms,
+        system,
         base_events: 50_000,
         trace_file: None,
     };
@@ -66,13 +79,16 @@ fn thousand_tenants_complete_bit_identically() {
             64,
         );
         assert_eq!(
-            fin.digest, ref_digest,
-            "tenant {tenant}: decision digest diverged from single-tenant run"
+            fin.digest,
+            ref_digest,
+            "{} tenant {tenant}: decision digest diverged from single-tenant run",
+            system.label()
         );
         assert_eq!(
             format!("{:?}", fin.report),
             format!("{ref_report:?}"),
-            "tenant {tenant}: coverage report diverged from single-tenant run"
+            "{} tenant {tenant}: coverage report diverged from single-tenant run",
+            system.label()
         );
     }
 
@@ -86,4 +102,10 @@ fn thousand_tenants_complete_bit_identically() {
     assert_eq!(spread, 4, "tenant hashing left a shard idle");
     let per_shard: u64 = result.shards.iter().map(|s| s.stats.events).sum();
     assert_eq!(per_shard, load.events_offered);
+    let peak: usize = result.shards.iter().map(|s| s.stats.peak_footprint).sum();
+    assert!(
+        peak < PEAK_FOOTPRINT_LIMIT,
+        "{}: shards peaked at {peak} bytes with every session resident",
+        system.label()
+    );
 }

@@ -56,6 +56,13 @@ if [ "${1:-}" != "--fast" ]; then
     echo "==> cargo test"
     cargo test --workspace -q
 
+    # Tests share a process per binary: a second pass on one thread
+    # catches tests that only pass when a sibling's state is (or is not)
+    # interleaved with theirs.
+    mark test-one-thread
+    echo "==> cargo test (one test thread)"
+    cargo test --workspace -q -- --test-threads=1
+
     mark telemetry-smoke
     echo "==> telemetry schema smoke run"
     smoke_dir=$(mktemp -d)
