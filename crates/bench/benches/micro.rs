@@ -1,7 +1,7 @@
 //! Microbenchmarks of the substrates: per-event prefetcher costs, EIT
-//! operations, hasher comparison, Sequitur throughput, workload
-//! generation, and the cache model — the hot paths of the whole
-//! reproduction.
+//! operations, hasher comparison, Sequitur throughput, the Sequitur trace
+//! codec's chunk encode, workload generation, and the cache model — the
+//! hot paths of the whole reproduction.
 
 use domino::{Domino, DominoConfig, Eit, EitConfig};
 use domino_bench::Harness;
@@ -11,10 +11,13 @@ use domino_prefetchers::{Stms, TemporalConfig};
 use domino_sequitur::oracle::{oracle_replay, OracleConfig};
 use domino_sequitur::Sequitur;
 use domino_trace::addr::{LineAddr, Pc};
+use domino_trace::event::AccessEvent;
 use domino_trace::hash::FxHashMap;
+use domino_trace::stream::{Codec, TraceWriter, DEFAULT_CHUNK_EVENTS};
 use domino_trace::workload::catalog;
 use std::collections::HashMap;
 use std::hint::black_box;
+use std::io::Cursor;
 
 const N: usize = 20_000;
 
@@ -136,6 +139,23 @@ fn sequitur_throughput(h: &mut Harness) {
     });
 }
 
+/// One default-sized OLTP chunk through `TraceWriter` into memory: the
+/// write-behind encoder thread's digest and Sequitur encode, plus the
+/// writer's start-up and index around them.
+fn trace_chunk_encode(h: &mut Harness) {
+    let events: Vec<AccessEvent> = catalog::oltp()
+        .generator(42)
+        .take(DEFAULT_CHUNK_EVENTS as usize)
+        .collect();
+    h.bench("trace/sequitur_chunk_encode", events.len() as u64, || {
+        let mut sink = Cursor::new(Vec::new());
+        let mut w = TraceWriter::new(&mut sink, DEFAULT_CHUNK_EVENTS, Codec::Sequitur)
+            .expect("in-memory sink");
+        w.write_events(black_box(&events)).expect("in-memory sink");
+        w.finish().expect("in-memory sink").file_bytes
+    });
+}
+
 fn main() {
     let mut h = Harness::new("micro");
     workload_generation(&mut h);
@@ -144,4 +164,5 @@ fn main() {
     eit_operations(&mut h);
     hasher_comparison(&mut h);
     sequitur_throughput(&mut h);
+    trace_chunk_encode(&mut h);
 }

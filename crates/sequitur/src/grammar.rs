@@ -23,6 +23,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 
 use crate::node::{Arena, NodeRef, Payload, SymKey};
 
@@ -50,6 +51,72 @@ pub enum ExportSym {
     Rule(u32),
 }
 
+/// The symbols of one exported rule, in body order; handed out by
+/// [`Sequitur::export_with`].
+#[derive(Debug, Clone)]
+pub struct ExportBody<'a> {
+    grammar: &'a Sequitur,
+    dense: &'a [u32],
+    guard: u32,
+    cur: u32,
+}
+
+impl Iterator for ExportBody<'_> {
+    type Item = ExportSym;
+
+    fn next(&mut self) -> Option<ExportSym> {
+        if self.cur == self.guard {
+            return None;
+        }
+        let sym = match self
+            .grammar
+            .arena
+            .sym(self.cur)
+            .expect("body nodes are symbols")
+        {
+            SymKey::Term(t) => ExportSym::Term(t),
+            SymKey::Rule(r) => ExportSym::Rule(self.dense[r as usize]),
+        };
+        self.cur = self.grammar.arena.next(self.cur);
+        Some(sym)
+    }
+}
+
+/// Digram-index key: the values of both symbols plus one bit per symbol
+/// marking a rule reference. It hashes in one 16-byte write, where the
+/// derived `Hash` of a `(SymKey, SymKey)` pair made four (a discriminant
+/// and a value per symbol).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DigramKey {
+    vals: [u64; 2],
+    rules: u8,
+}
+
+impl DigramKey {
+    fn new(a: SymKey, b: SymKey) -> Self {
+        let parts = |s: SymKey| match s {
+            SymKey::Term(t) => (t, 0u8),
+            SymKey::Rule(r) => (u64::from(r), 1u8),
+        };
+        let ((va, ra), (vb, rb)) = (parts(a), parts(b));
+        DigramKey {
+            vals: [va, vb],
+            rules: ra | rb << 1,
+        }
+    }
+}
+
+impl Hash for DigramKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // A rule reference flips its value's top bit, so a terminal below
+        // 2^63 never shares a hash with a rule; equality still compares
+        // the kind bits exactly.
+        let a = self.vals[0] ^ u64::from(self.rules & 1) << 63;
+        let b = self.vals[1] ^ u64::from(self.rules >> 1) << 63;
+        state.write_u128(u128::from(a) | u128::from(b) << 64);
+    }
+}
+
 /// Online Sequitur grammar builder.
 ///
 /// See the [crate docs](crate) for an example; see
@@ -59,9 +126,12 @@ pub enum ExportSym {
 pub struct Sequitur {
     pub(crate) arena: Arena,
     pub(crate) rules: Vec<RuleInfo>,
-    digrams: HashMap<(SymKey, SymKey), NodeRef>,
+    digrams: HashMap<DigramKey, NodeRef>,
     queue: VecDeque<NodeRef>,
     pending_underused: Vec<u32>,
+    /// Emptied occurrence lists of the rules [`Sequitur::clear`] retired,
+    /// handed to new rules so a reused grammar does not reallocate them.
+    spare_occurrences: Vec<Vec<u32>>,
     input_len: u64,
 }
 
@@ -74,21 +144,39 @@ impl Default for Sequitur {
 impl Sequitur {
     /// Creates an empty grammar (start rule only).
     pub fn new() -> Self {
-        let mut arena = Arena::default();
-        let guard = arena.alloc(Payload::Guard(0));
-        arena.link(guard, guard);
-        Sequitur {
-            arena,
-            rules: vec![RuleInfo {
-                guard,
-                occurrences: Vec::new(),
-                live: true,
-            }],
+        let mut g = Sequitur {
+            arena: Arena::default(),
+            rules: Vec::new(),
             digrams: HashMap::new(),
             queue: VecDeque::new(),
             pending_underused: Vec::new(),
+            spare_occurrences: Vec::new(),
             input_len: 0,
+        };
+        g.alloc_rule();
+        g
+    }
+
+    /// Empties the grammar back to a lone start rule, as
+    /// [`Sequitur::new`] builds it, but keeps the capacity of the node
+    /// arena, the digram index and the work queues. A builder reused
+    /// across inputs (the trace codec's chunk encoder) therefore stops
+    /// allocating once it has seen its largest input, and builds exactly
+    /// the grammar a fresh one would.
+    pub fn clear(&mut self) {
+        self.arena.clear();
+        // Pooled in reverse, so rule i of the next input gets the list
+        // rule i had: a repeated input reallocates none of them.
+        for rule in self.rules.drain(..).rev() {
+            let mut occurrences = rule.occurrences;
+            occurrences.clear();
+            self.spare_occurrences.push(occurrences);
         }
+        self.digrams.clear();
+        self.queue.clear();
+        self.pending_underused.clear();
+        self.input_len = 0;
+        self.alloc_rule();
     }
 
     /// Builds a grammar from a whole sequence.
@@ -169,24 +257,31 @@ impl Sequitur {
     /// order, rule references expanded recursively) reconstructs the input
     /// exactly; retired rules do not appear.
     pub fn export_rules(&self) -> Vec<Vec<ExportSym>> {
-        let order: Vec<u32> = self.live_rules().collect();
-        let dense: HashMap<u32, u32> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i as u32))
-            .collect();
-        order
-            .iter()
-            .map(|&r| {
-                self.rule_body(r)
-                    .into_iter()
-                    .map(|sym| match sym {
-                        SymKey::Term(t) => ExportSym::Term(t),
-                        SymKey::Rule(rr) => ExportSym::Rule(dense[&rr]),
-                    })
-                    .collect()
-            })
-            .collect()
+        let mut rules = Vec::new();
+        self.export_with(&mut Vec::new(), |body| rules.push(body.collect()));
+        rules
+    }
+
+    /// Walks the table [`Sequitur::export_rules`] returns without building
+    /// it: calls `rule` once per exported rule, in table order, with that
+    /// rule's symbols. `dense` is scratch for the renumbering; a caller
+    /// that keeps it across calls allocates nothing here.
+    pub fn export_with(&self, dense: &mut Vec<u32>, mut rule: impl FnMut(ExportBody<'_>)) {
+        dense.clear();
+        // Retired rules keep the filler: no live body references them.
+        dense.resize(self.rules.len(), u32::MAX);
+        for (index, r) in (0u32..).zip(self.live_rules()) {
+            dense[r as usize] = index;
+        }
+        for r in self.live_rules() {
+            let guard = self.rules[r as usize].guard;
+            rule(ExportBody {
+                grammar: self,
+                dense,
+                guard,
+                cur: self.arena.next(guard),
+            });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -217,10 +312,15 @@ impl Sequitur {
         }
     }
 
-    fn digram_key(&self, first: u32) -> Option<(SymKey, SymKey)> {
+    fn digram(&self, first: u32) -> Option<(SymKey, SymKey)> {
         let a = self.arena.sym(first)?;
         let b = self.arena.sym(self.arena.next(first))?;
         Some((a, b))
+    }
+
+    fn digram_key(&self, first: u32) -> Option<DigramKey> {
+        let (a, b) = self.digram(first)?;
+        Some(DigramKey::new(a, b))
     }
 
     /// Removes the digram-index entry anchored at `first`, if it is the
@@ -237,9 +337,10 @@ impl Sequitur {
 
     /// Checks the digram starting at `first`, repairing uniqueness.
     fn check_digram(&mut self, first: u32) {
-        let Some(key) = self.digram_key(first) else {
+        let Some(syms) = self.digram(first) else {
             return;
         };
+        let key = DigramKey::new(syms.0, syms.1);
         let node_ref = self.arena.node_ref(first);
         match self.digrams.entry(key) {
             Entry::Vacant(v) => {
@@ -260,13 +361,13 @@ impl Sequitur {
                 if self.arena.next(m.id) == first || self.arena.next(first) == m.id {
                     return;
                 }
-                self.handle_match(first, m.id, key);
+                self.handle_match(first, m.id, syms, key);
             }
         }
     }
 
     /// `first` duplicates the digram registered at `matched`.
-    fn handle_match(&mut self, first: u32, matched: u32, key: (SymKey, SymKey)) {
+    fn handle_match(&mut self, first: u32, matched: u32, syms: (SymKey, SymKey), key: DigramKey) {
         let m_prev = self.arena.prev(matched);
         let m_next_next = self.arena.next(self.arena.next(matched));
         let full_body_rule = if self.arena.is_guard(m_prev) && m_prev == m_next_next {
@@ -286,10 +387,10 @@ impl Sequitur {
             // Create a fresh rule with the digram as its body.
             let rule = self.alloc_rule();
             let guard = self.rules[rule as usize].guard;
-            let body_a = self.insert_after(guard, key.0);
-            let body_b = self.insert_after(body_a, key.1);
-            self.note_rule_use(key.0, body_a);
-            self.note_rule_use(key.1, body_b);
+            let body_a = self.insert_after(guard, syms.0);
+            let body_b = self.insert_after(body_a, syms.1);
+            self.note_rule_use(syms.0, body_a);
+            self.note_rule_use(syms.1, body_b);
             self.substitute(matched, rule);
             self.substitute(first, rule);
             // Register the rule body as the canonical occurrence of the
@@ -322,6 +423,9 @@ impl Sequitur {
     }
 
     /// Inserts a fresh symbol node after `after`, returning its id.
+    // Inlined so that `Arena::alloc`, inlined into it, writes the symbol
+    // straight into its slot (see there).
+    #[inline(always)]
     fn insert_after(&mut self, after: u32, key: SymKey) -> u32 {
         let n = self.arena.alloc(Payload::Sym(key));
         let b = self.arena.next(after);
@@ -364,7 +468,7 @@ impl Sequitur {
         self.arena.link(guard, guard);
         self.rules.push(RuleInfo {
             guard,
-            occurrences: Vec::new(),
+            occurrences: self.spare_occurrences.pop().unwrap_or_default(),
             live: true,
         });
         id
@@ -453,7 +557,7 @@ impl Sequitur {
             ));
         }
         // Digram uniqueness (overlapping same-symbol digrams exempt).
-        let mut seen: HashMap<(SymKey, SymKey), u32> = HashMap::new();
+        let mut seen: HashMap<DigramKey, u32> = HashMap::new();
         for rule in self.live_rules() {
             let guard = self.rules[rule as usize].guard;
             let mut cur = self.arena.next(guard);
@@ -464,7 +568,8 @@ impl Sequitur {
                 if let Some(&prev) = seen.get(&key) {
                     let overlapping = self.arena.next(prev) == cur || self.arena.next(cur) == prev;
                     if !overlapping {
-                        return Err(format!("digram {key:?} duplicated"));
+                        let syms = self.digram(cur);
+                        return Err(format!("digram {syms:?} duplicated"));
                     }
                 } else {
                     seen.insert(key, cur);
@@ -606,15 +711,12 @@ mod tests {
         assert!(g.rule_count() >= 1);
     }
 
-    #[test]
-    fn pathological_period_two() {
-        let input: Vec<u64> = (0..200).map(|i| (i % 2) as u64).collect();
-        build(&input);
+    fn period_two() -> Vec<u64> {
+        (0..200).map(|i| (i % 2) as u64).collect()
     }
 
-    #[test]
-    fn pathological_fibonacci_word() {
-        // Fibonacci words are repetition-rich and famously stress Sequitur.
+    /// Fibonacci words are repetition-rich and famously stress Sequitur.
+    fn fibonacci_word() -> Vec<u64> {
         let mut s = vec![0u64];
         for _ in 0..12 {
             let mut next = Vec::with_capacity(s.len() * 2);
@@ -627,7 +729,54 @@ mod tests {
             }
             s = next;
         }
-        build(&s);
+        s
+    }
+
+    /// Twenty copies of one 50-symbol block.
+    fn repeated_blocks() -> Vec<u64> {
+        let block: Vec<u64> = (100..150).collect();
+        let mut input = Vec::new();
+        for _ in 0..20 {
+            input.extend_from_slice(&block);
+        }
+        input
+    }
+
+    #[test]
+    fn pathological_period_two() {
+        build(&period_two());
+    }
+
+    #[test]
+    fn pathological_fibonacci_word() {
+        build(&fibonacci_word());
+    }
+
+    #[test]
+    fn cleared_grammar_rebuilds_exactly_what_a_fresh_one_builds() {
+        let inputs = [
+            vec![7u64, 7, 7, 7],
+            period_two(),
+            fibonacci_word(),
+            repeated_blocks(),
+        ];
+        // One grammar for every input, back to back, twice over, so each
+        // input follows both smaller and larger ones.
+        let mut g = Sequitur::new();
+        for input in inputs.iter().chain(&inputs) {
+            g.clear();
+            g.extend(input.iter().copied());
+            let fresh = Sequitur::from_sequence(input.iter().copied());
+            assert_eq!(g.export_rules(), fresh.export_rules());
+            assert_eq!(g.expand(), *input);
+            assert_eq!(g.input_len(), input.len() as u64);
+            g.check_invariants().expect("invariants after clear");
+        }
+        g.clear();
+        assert_eq!(g.expand(), Vec::<u64>::new());
+        assert_eq!(g.rule_count(), 0);
+        g.check_invariants()
+            .expect("invariants of a cleared grammar");
     }
 
     #[test]
@@ -649,11 +798,7 @@ mod tests {
 
     #[test]
     fn compresses_repeated_blocks() {
-        let block: Vec<u64> = (100..150).collect();
-        let mut input = Vec::new();
-        for _ in 0..20 {
-            input.extend_from_slice(&block);
-        }
+        let input = repeated_blocks();
         let g = build(&input);
         // Grammar should be far smaller than the input.
         let grammar_symbols: usize = g.live_rules().map(|r| g.rule_body(r).len()).sum();

@@ -43,6 +43,6 @@ mod node;
 pub mod oracle;
 
 pub use analysis::GrammarStats;
-pub use grammar::{ExportSym, Sequitur};
+pub use grammar::{ExportBody, ExportSym, Sequitur};
 pub use histogram::Histogram;
 pub use oracle::{OracleConfig, OracleReport};

@@ -52,6 +52,18 @@ pub(crate) struct Arena {
 }
 
 impl Arena {
+    /// Empties the arena, keeping its capacity: the next `alloc` returns
+    /// id 0, exactly as on a fresh arena.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+
+    // Inlined into every caller so the payload, built from a constant
+    // variant there, is written into the slot field by field. Out of line
+    // it is built on the stack and copied with one 16-byte load that stalls
+    // on the narrower stores that just wrote it.
+    #[inline(always)]
     pub fn alloc(&mut self, payload: Payload) -> u32 {
         if let Some(id) = self.free.pop() {
             let slot = &mut self.slots[id as usize];

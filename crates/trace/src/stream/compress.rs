@@ -14,60 +14,124 @@
 //!
 //! The event sequence is first mapped to dictionary ids, a Sequitur grammar
 //! is inferred over the id sequence (`crates/sequitur`), and the grammar is
-//! serialized via [`domino_sequitur::Sequitur::export_rules`]: entry 0 is
-//! the start rule and a symbol is either a dictionary id (high bit clear)
-//! or `0x8000_0000 | rule_index`. Decoding expands the start rule with an
-//! explicit stack, guarded against malformed (cyclic or over-producing)
-//! grammars so hostile bytes error out instead of looping or ballooning.
+//! serialized in the order of [`domino_sequitur::Sequitur::export_rules`]:
+//! entry 0 is the start rule and a symbol is either a dictionary id (high
+//! bit clear) or `0x8000_0000 | rule_index`. Decoding expands the start
+//! rule with an explicit stack, guarded against malformed (cyclic or
+//! over-producing) grammars so hostile bytes error out instead of looping
+//! or ballooning.
+//!
+//! Chunks hold at most [`MAX_CHUNK_EVENTS`] events, so every count and id
+//! the encoder stores fits below the rule bit.
 
 use std::collections::HashMap;
 
 use domino_sequitur::{ExportSym, Sequitur};
 
 use crate::event::AccessEvent;
-use crate::stream::format::{decode_record, encode_record, TraceFileError, RECORD_BYTES};
+use crate::stream::format::{
+    decode_record, record_words, TraceFileError, MAX_CHUNK_EVENTS, RECORD_BYTES,
+};
 
 const RULE_BIT: u32 = 0x8000_0000;
 
-/// Encodes one chunk of events as dictionary + serialized grammar.
-pub(crate) fn encode_chunk(events: &[AccessEvent]) -> Vec<u8> {
-    let mut dict: Vec<AccessEvent> = Vec::new();
-    let mut ids_of: HashMap<[u8; RECORD_BYTES], u32> = HashMap::new();
-    let mut ids: Vec<u64> = Vec::with_capacity(events.len());
-    let mut rec = [0u8; RECORD_BYTES];
-    for ev in events {
-        encode_record(ev, &mut rec);
-        let next = dict.len() as u32;
-        let id = *ids_of.entry(rec).or_insert_with(|| {
-            dict.push(*ev);
-            next
-        });
-        ids.push(u64::from(id));
-    }
-    let grammar = Sequitur::from_sequence(ids);
-    let rules = grammar.export_rules();
+const _: () = assert!(
+    MAX_CHUNK_EVENTS < RULE_BIT,
+    "stored ids must stay clear of RULE_BIT"
+);
 
-    let mut out = Vec::new();
-    out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-    for ev in &dict {
-        encode_record(ev, &mut rec);
-        out.extend_from_slice(&rec);
-    }
-    out.extend_from_slice(&(rules.len() as u32).to_le_bytes());
-    for body in &rules {
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        for sym in body {
-            let word = match *sym {
-                ExportSym::Term(id) => {
-                    debug_assert!(id < u64::from(RULE_BIT), "dict ids fit 31 bits");
-                    id as u32
+/// A count or id the encoder stores in a `u32` field. None exceeds the
+/// chunk's event count, so the chunk bound keeps them in range; stored
+/// data depends on it, hence a real check rather than a cast.
+fn stored(n: usize) -> u32 {
+    assert!(
+        n <= MAX_CHUNK_EVENTS as usize,
+        "{n} exceeds MAX_CHUNK_EVENTS ({MAX_CHUNK_EVENTS})"
+    );
+    u32::try_from(n).expect("MAX_CHUNK_EVENTS fits in u32")
+}
+
+/// Appends `v` as a little-endian `u32` field.
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Overwrites the `u32` field at `at` (written earlier as a placeholder).
+fn patch_u32(out: &mut [u8], at: usize, v: u32) {
+    out[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The Sequitur chunk encoder, reused for every chunk of a file.
+///
+/// It keeps its dictionary map, its id lane and its grammar between
+/// chunks, and encodes into a payload buffer its caller keeps, so it
+/// allocates only when a chunk outgrows what earlier chunks left behind.
+#[derive(Debug, Default)]
+pub(crate) struct Encoder {
+    /// Dictionary id of each distinct record, keyed by the record's three
+    /// words (see [`record_words`]).
+    ids_of: HashMap<[u64; 3], u32>,
+    /// The chunk as dictionary ids.
+    ids: Vec<u32>,
+    grammar: Sequitur,
+    /// Rule-renumbering scratch for [`Sequitur::export_with`].
+    dense: Vec<u32>,
+}
+
+impl Encoder {
+    /// Replaces the contents of `out` with `events` encoded as dictionary
+    /// plus serialized grammar.
+    ///
+    /// # Panics
+    ///
+    /// If `events` holds more than [`MAX_CHUNK_EVENTS`] events.
+    pub(crate) fn encode(&mut self, events: &[AccessEvent], out: &mut Vec<u8>) {
+        // The bound every count and id below inherits.
+        stored(events.len());
+        out.clear();
+        self.ids_of.clear();
+        self.ids.clear();
+        // Dictionary length placeholder, then each distinct record as it
+        // first appears.
+        put_u32(out, 0);
+        for ev in events {
+            let words = record_words(ev);
+            let next = self.ids_of.len();
+            let id = *self.ids_of.entry(words).or_insert_with(|| {
+                for w in words {
+                    out.extend_from_slice(&w.to_le_bytes());
                 }
-                ExportSym::Rule(idx) => RULE_BIT | idx,
-            };
-            out.extend_from_slice(&word.to_le_bytes());
+                stored(next)
+            });
+            self.ids.push(id);
         }
+        patch_u32(out, 0, stored(self.ids_of.len()));
+
+        self.grammar.clear();
+        self.grammar
+            .extend(self.ids.iter().map(|&id| u64::from(id)));
+        let rules_at = out.len();
+        put_u32(out, 0);
+        let mut rules = 0;
+        self.grammar.export_with(&mut self.dense, |body| {
+            let len_at = out.len();
+            put_u32(out, 0);
+            let mut len = 0;
+            for sym in body {
+                let word = match sym {
+                    ExportSym::Term(id) => {
+                        stored(usize::try_from(id).expect("dictionary ids are u32"))
+                    }
+                    ExportSym::Rule(idx) => RULE_BIT | stored(idx as usize),
+                };
+                put_u32(out, word);
+                len += 1;
+            }
+            patch_u32(out, len_at, stored(len));
+            rules += 1;
+        });
+        patch_u32(out, rules_at, stored(rules));
     }
-    out
 }
 
 fn read_u32(
@@ -183,10 +247,14 @@ pub(crate) fn decode_chunk(
     // Expand the start rule with an explicit stack. Sequitur grammars are
     // acyclic, but these bytes may not be from Sequitur: cap both the
     // output length and the number of expansion steps so cyclic or
-    // over-producing grammars terminate with an error.
+    // over-producing grammars terminate with an error. Each step visits
+    // one body symbol or ends a body. Sequitur's non-start rules have two
+    // or more symbols, so a derivation has fewer rule uses than events and
+    // takes under three steps per event (a run of one event, whose grammar
+    // nests pairs of pairs, comes closest).
     let mut out = Vec::with_capacity(expected_events as usize);
     let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    let step_limit = u64::from(expected_events) * 2 + total_syms * 2 + 64;
+    let step_limit = u64::from(expected_events) * 3 + total_syms * 2 + 64;
     let mut steps = 0u64;
     while let Some((rule, sym_pos)) = stack.pop() {
         steps += 1;
@@ -236,21 +304,48 @@ pub(crate) fn decode_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::format::{encode_record, DEFAULT_CHUNK_EVENTS};
     use crate::workload::catalog;
 
     fn sample(n: usize) -> Vec<AccessEvent> {
         catalog::data_serving().generator(3).take(n).collect()
     }
 
+    /// `n` events cycling through a 64-event motif: exact repeats, so the
+    /// grammar has rules to find.
+    fn repeats(n: usize) -> Vec<AccessEvent> {
+        let motif = sample(64);
+        motif.iter().copied().cycle().take(n).collect()
+    }
+
+    /// `n` copies of one event: the deepest grammar Sequitur builds.
+    fn run(n: usize) -> Vec<AccessEvent> {
+        vec![sample(1)[0]; n]
+    }
+
+    /// One chunk through a fresh encoder.
+    fn encode_chunk(events: &[AccessEvent]) -> Vec<u8> {
+        let mut out = Vec::new();
+        Encoder::default().encode(events, &mut out);
+        out
+    }
+
     #[test]
     fn chunk_round_trips() {
-        for n in [0usize, 1, 17, 500, 2000] {
-            let events = sample(n);
-            let bytes = encode_chunk(&events);
-            let (decoded, aux) = decode_chunk(&bytes, n as u32, 0).unwrap();
-            assert_eq!(decoded, events);
-            if n > 0 {
-                assert!(aux > 0);
+        // Small after large and large after small: whatever a chunk leaves
+        // behind in the encoder must not reach the next chunk's bytes.
+        let mut encoder = Encoder::default();
+        let mut out = Vec::new();
+        let default = DEFAULT_CHUNK_EVENTS as usize;
+        for n in [0usize, 1, 7, 37, 2000, default, 37, 7, 1] {
+            for events in [sample(n), repeats(n), run(n)] {
+                encoder.encode(&events, &mut out);
+                assert_eq!(out, encode_chunk(&events), "{n} events: reused != fresh");
+                let (decoded, aux) = decode_chunk(&out, n as u32, 0).unwrap();
+                assert_eq!(decoded, events, "{n} events");
+                if n > 0 {
+                    assert!(aux > 0);
+                }
             }
         }
     }
@@ -258,11 +353,7 @@ mod tests {
     #[test]
     fn repetitive_chunks_shrink() {
         // A repeated motif: grammar + dictionary must beat raw records.
-        let motif = sample(64);
-        let mut events = Vec::new();
-        for _ in 0..64 {
-            events.extend_from_slice(&motif);
-        }
+        let events = repeats(64 * 64);
         let bytes = encode_chunk(&events);
         assert!(
             bytes.len() < events.len() * RECORD_BYTES / 4,

@@ -27,12 +27,16 @@
 //! makes chunk digests and the streaming parity oracle byte-exact.
 //!
 //! Every malformed input — wrong magic, truncated header, torn records,
-//! misaligned index, digest mismatch — surfaces as a [`TraceFileError`];
-//! readers never panic on hostile bytes.
+//! misaligned index, digest mismatch, a chunk size past
+//! [`MAX_CHUNK_EVENTS`] — surfaces as a [`TraceFileError`]; readers never
+//! panic on hostile bytes, and no allocation they make is sized by more
+//! than one bounded chunk.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
 
 use crate::addr::{Addr, Pc};
 use crate::event::{AccessEvent, AccessKind};
@@ -55,6 +59,13 @@ pub const INDEX_ENTRY_BYTES: u64 = 32;
 
 /// Default chunk granularity: 64 Ki events = 1.5 MiB of raw records.
 pub const DEFAULT_CHUNK_EVENTS: u32 = 1 << 16;
+
+/// Largest chunk granularity a file may declare: 1 Mi events, 16× the
+/// default. [`TraceReader`] and [`TraceWriter`] both reject larger
+/// `chunk_events` with [`TraceFileError::BadHeader`], so no buffer sized
+/// from a header exceeds 24 MiB of records, and every count and id the
+/// Sequitur codec stores fits its `u32` fields.
+pub const MAX_CHUNK_EVENTS: u32 = 1 << 20;
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -208,18 +219,36 @@ impl From<std::io::Error> for TraceFileError {
     }
 }
 
-/// Encodes one event into its 24-byte record image.
-pub fn encode_record(ev: &AccessEvent, out: &mut [u8; RECORD_BYTES]) {
-    out[0..8].copy_from_slice(&ev.pc.raw().to_le_bytes());
-    out[8..16].copy_from_slice(&ev.addr.raw().to_le_bytes());
-    out[16..20].copy_from_slice(&ev.gap_insts.to_le_bytes());
-    out[20] = match ev.kind {
+/// An event's record image as three little-endian words: `pc`, `addr`,
+/// and `gap_insts | kind << 32 | dependent << 40` (the pad bytes are
+/// zero). Built in registers, so the encoder hashes and stores whole words
+/// instead of re-reading bytes it wrote one at a time.
+pub(crate) fn record_words(ev: &AccessEvent) -> [u64; 3] {
+    let kind: u64 = match ev.kind {
         AccessKind::Read => 0,
         AccessKind::Write => 1,
     };
-    out[21] = u8::from(ev.dependent);
-    out[22] = 0;
-    out[23] = 0;
+    let tail = u64::from(ev.gap_insts) | kind << 32 | u64::from(ev.dependent) << 40;
+    [ev.pc.raw(), ev.addr.raw(), tail]
+}
+
+/// Encodes one event into its 24-byte record image.
+pub fn encode_record(ev: &AccessEvent, out: &mut [u8; RECORD_BYTES]) {
+    for (field, word) in out.chunks_exact_mut(8).zip(record_words(ev)) {
+        field.copy_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// Replaces the contents of `out` with the raw-codec payload of `events`:
+/// their record images.
+fn encode_raw(events: &[AccessEvent], out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(events.len() * RECORD_BYTES);
+    for ev in events {
+        for word in record_words(ev) {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
 }
 
 /// Decodes one 24-byte record image; strict about every spare bit so that
@@ -292,20 +321,109 @@ pub struct TraceSummary {
 
 /// Streaming `DMNOTRC1` writer.
 ///
-/// Events are buffered per chunk and flushed as each chunk fills; nothing
-/// beyond one chunk is held in memory. [`TraceWriter::finish`] must be
-/// called to seal the file — it writes the chunk index and rewrites the
-/// header (which is zero-stamped until then, so an unfinished file is
-/// rejected by [`TraceReader`] rather than silently truncated).
+/// Events are buffered per chunk. A full chunk goes to a write-behind
+/// encoder thread, which digests and encodes it (either codec) while the
+/// next chunk fills; the calling thread keeps the sink and writes the
+/// encoded chunks in order, so the index, the header and every I/O error
+/// stay on the caller's side. At most two chunks are held: one filling,
+/// one encoding. [`TraceWriter::finish`] must be called to seal the file —
+/// it writes the chunk index and rewrites the header (which is
+/// zero-stamped until then, so an unfinished file is rejected by
+/// [`TraceReader`] rather than silently truncated). After an error the
+/// encoder thread is joined and every later call fails.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write + Seek> {
     sink: W,
     chunk_events: u32,
     codec: Codec,
+    /// The chunk being filled.
     pending: Vec<AccessEvent>,
+    /// The encoder thread; `None` once joined, by `finish` or on an error.
+    worker: Option<EncodeWorker>,
     index: Vec<ChunkMeta>,
     events: u64,
     cursor: u64,
+}
+
+/// A chunk's trip through the encoder thread and back: its events go out,
+/// and return with their digest and encoded payload. Both buffers are
+/// recycled for a later chunk.
+#[derive(Default)]
+struct Chunk {
+    events: Vec<AccessEvent>,
+    payload: Vec<u8>,
+    digest: u64,
+}
+
+/// The write-behind encoder thread of a [`TraceWriter`]. Like
+/// [`crate::stream::FileSource`]'s read-ahead decoder, it owns the codec
+/// state for the file's lifetime: one [`compress::Encoder`] serves every
+/// chunk.
+struct EncodeWorker {
+    jobs: Sender<Chunk>,
+    done: Receiver<Chunk>,
+    handle: JoinHandle<()>,
+    /// Whether a chunk is being encoded.
+    in_flight: bool,
+}
+
+impl std::fmt::Debug for EncodeWorker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EncodeWorker")
+            .field("in_flight", &self.in_flight)
+            .finish_non_exhaustive()
+    }
+}
+
+impl EncodeWorker {
+    fn spawn(codec: Codec) -> std::io::Result<Self> {
+        let (jobs, job_rx) = channel::<Chunk>();
+        let (done_tx, done) = channel();
+        let handle = std::thread::Builder::new()
+            .name("dmno-encode".into())
+            .spawn(move || {
+                let mut encoder = compress::Encoder::default();
+                // Ends when the writer hangs up.
+                for mut chunk in job_rx {
+                    chunk.digest = digest_events(&chunk.events);
+                    match codec {
+                        Codec::Raw => encode_raw(&chunk.events, &mut chunk.payload),
+                        Codec::Sequitur => encoder.encode(&chunk.events, &mut chunk.payload),
+                    }
+                    if done_tx.send(chunk).is_err() {
+                        return;
+                    }
+                }
+            })?;
+        Ok(EncodeWorker {
+            jobs,
+            done,
+            handle,
+            in_flight: false,
+        })
+    }
+
+    /// Hangs up on the thread and joins it; a panic there becomes an
+    /// error.
+    fn join(self) -> Result<(), TraceFileError> {
+        // Without both channels the thread stops wherever it is: waiting
+        // for a chunk, or sending one back.
+        drop(self.jobs);
+        drop(self.done);
+        self.handle.join().map_err(|panic| {
+            let what = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            stopped(&format!("the chunk encoder thread panicked: {what}"))
+        })
+    }
+}
+
+/// The error of a writer whose encoder thread is gone.
+fn stopped(why: &str) -> TraceFileError {
+    TraceFileError::Io(std::io::Error::other(why.to_string()))
 }
 
 impl TraceWriter<BufWriter<File>> {
@@ -313,7 +431,8 @@ impl TraceWriter<BufWriter<File>> {
     ///
     /// # Errors
     ///
-    /// I/O failures and a zero `chunk_events`.
+    /// I/O failures, and a zero `chunk_events` or one above
+    /// [`MAX_CHUNK_EVENTS`].
     pub fn create(path: &Path, chunk_events: u32, codec: Codec) -> Result<Self, TraceFileError> {
         let file = File::create(path)?;
         TraceWriter::new(BufWriter::new(file), chunk_events, codec)
@@ -321,26 +440,37 @@ impl TraceWriter<BufWriter<File>> {
 }
 
 impl<W: Write + Seek> TraceWriter<W> {
-    /// Wraps any seekable sink and writes the placeholder header.
+    /// Wraps any seekable sink, writes the placeholder header and starts
+    /// the encoder thread.
     ///
     /// # Errors
     ///
-    /// I/O failures and a zero `chunk_events`.
+    /// I/O failures, and a zero `chunk_events` or one above
+    /// [`MAX_CHUNK_EVENTS`].
     pub fn new(mut sink: W, chunk_events: u32, codec: Codec) -> Result<Self, TraceFileError> {
         if chunk_events == 0 {
             return Err(TraceFileError::BadHeader {
                 detail: "chunk_events must be nonzero".into(),
             });
         }
+        if chunk_events > MAX_CHUNK_EVENTS {
+            return Err(TraceFileError::BadHeader {
+                detail: format!(
+                    "chunk_events {chunk_events} exceeds MAX_CHUNK_EVENTS ({MAX_CHUNK_EVENTS})"
+                ),
+            });
+        }
         // Placeholder header: correct magic/version but a zero index
         // offset, which TraceReader rejects — a crashed writer leaves an
         // unmistakably unfinished file.
         sink.write_all(&header_bytes(0, chunk_events, codec, 0))?;
+        let worker = EncodeWorker::spawn(codec)?;
         Ok(TraceWriter {
             sink,
             chunk_events,
             codec,
             pending: Vec::with_capacity(chunk_events as usize),
+            worker: Some(worker),
             index: Vec::new(),
             events: 0,
             cursor: HEADER_BYTES,
@@ -351,65 +481,102 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// I/O failures when a full chunk flushes.
+    /// I/O failures when a full chunk flushes, and any earlier failure.
     pub fn push(&mut self, ev: AccessEvent) -> Result<(), TraceFileError> {
-        self.pending.push(ev);
-        self.events += 1;
-        if self.pending.len() == self.chunk_events as usize {
-            self.flush_chunk()?;
-        }
-        Ok(())
+        self.write_events(std::slice::from_ref(&ev))
     }
 
     /// Appends a slice of events.
     ///
     /// # Errors
     ///
-    /// I/O failures when full chunks flush.
-    pub fn write_events(&mut self, events: &[AccessEvent]) -> Result<(), TraceFileError> {
-        for ev in events {
-            self.push(*ev)?;
+    /// I/O failures when full chunks flush, and any earlier failure.
+    pub fn write_events(&mut self, mut events: &[AccessEvent]) -> Result<(), TraceFileError> {
+        self.worker()?;
+        let chunk = self.chunk_events as usize;
+        while !events.is_empty() {
+            let (now, rest) = events.split_at((chunk - self.pending.len()).min(events.len()));
+            self.pending.extend_from_slice(now);
+            self.events += now.len() as u64;
+            if self.pending.len() == chunk {
+                let flushed = self.flush_chunk();
+                self.stop_on_error(flushed)?;
+            }
+            events = rest;
         }
         Ok(())
     }
 
+    /// Hands the pending chunk to the encoder thread, after writing out
+    /// the chunk it was encoding. The events buffer of that chunk (or, for
+    /// the first chunk, a new one) becomes the next `pending`.
     fn flush_chunk(&mut self) -> Result<(), TraceFileError> {
-        if self.pending.is_empty() {
-            return Ok(());
+        let mut chunk = self.write_encoded()?.unwrap_or_default();
+        chunk.events.clear();
+        chunk.events.reserve_exact(self.chunk_events as usize);
+        std::mem::swap(&mut chunk.events, &mut self.pending);
+        let worker = self.worker()?;
+        worker
+            .jobs
+            .send(chunk)
+            .map_err(|_| stopped("the chunk encoder thread stopped"))?;
+        worker.in_flight = true;
+        Ok(())
+    }
+
+    /// Waits for the chunk being encoded, if any, and writes it to the
+    /// sink; returns its buffers for reuse.
+    fn write_encoded(&mut self) -> Result<Option<Chunk>, TraceFileError> {
+        let worker = self.worker()?;
+        if !worker.in_flight {
+            return Ok(None);
         }
-        let digest = digest_events(&self.pending);
-        let payload = match self.codec {
-            Codec::Raw => {
-                let mut bytes = Vec::with_capacity(self.pending.len() * RECORD_BYTES);
-                let mut rec = [0u8; RECORD_BYTES];
-                for ev in &self.pending {
-                    encode_record(ev, &mut rec);
-                    bytes.extend_from_slice(&rec);
-                }
-                bytes
-            }
-            Codec::Sequitur => compress::encode_chunk(&self.pending),
-        };
-        self.sink.write_all(&payload)?;
+        let chunk = worker
+            .done
+            .recv()
+            .map_err(|_| stopped("the chunk encoder thread stopped"))?;
+        worker.in_flight = false;
+        self.sink.write_all(&chunk.payload)?;
+        let byte_len = chunk.payload.len() as u64;
         self.index.push(ChunkMeta {
             offset: self.cursor,
-            byte_len: payload.len() as u64,
-            events: self.pending.len() as u32,
-            digest,
+            byte_len,
+            events: u32::try_from(chunk.events.len())
+                .expect("chunks hold at most MAX_CHUNK_EVENTS events"),
+            digest: chunk.digest,
         });
-        self.cursor += payload.len() as u64;
-        self.pending.clear();
-        Ok(())
+        self.cursor += byte_len;
+        Ok(Some(chunk))
+    }
+
+    /// The encoder thread, unless an earlier failure stopped it.
+    fn worker(&mut self) -> Result<&mut EncodeWorker, TraceFileError> {
+        self.worker
+            .as_mut()
+            .ok_or_else(|| stopped("the trace writer failed earlier"))
+    }
+
+    /// Passes `result` through; on an error, first joins the encoder
+    /// thread, whose panic, if it had one, is the error returned.
+    fn stop_on_error<T>(&mut self, result: Result<T, TraceFileError>) -> Result<T, TraceFileError> {
+        if result.is_err() {
+            if let Some(worker) = self.worker.take() {
+                worker.join()?;
+            }
+        }
+        result
     }
 
     /// Flushes the final partial chunk, writes the chunk index, seals the
-    /// header, and returns a summary.
+    /// header, and returns a summary. The encoder thread is joined first.
     ///
     /// # Errors
     ///
-    /// I/O failures.
+    /// I/O failures, a panic of the encoder thread, and any earlier
+    /// failure.
     pub fn finish(mut self) -> Result<TraceSummary, TraceFileError> {
-        self.flush_chunk()?;
+        let drained = self.drain();
+        self.stop_on_error(drained)?;
         let index_offset = self.cursor;
         let payload_bytes = index_offset - HEADER_BYTES;
         for meta in &self.index {
@@ -435,6 +602,27 @@ impl<W: Write + Seek> TraceWriter<W> {
             file_bytes: index_offset + INDEX_ENTRY_BYTES * self.index.len() as u64,
             payload_bytes,
         })
+    }
+
+    /// Encodes and writes out every chunk still held, then joins the
+    /// encoder thread.
+    fn drain(&mut self) -> Result<(), TraceFileError> {
+        self.worker()?;
+        if !self.pending.is_empty() {
+            self.flush_chunk()?;
+        }
+        self.write_encoded()?;
+        self.worker.take().map_or(Ok(()), EncodeWorker::join)
+    }
+}
+
+impl<W: Write + Seek> Drop for TraceWriter<W> {
+    fn drop(&mut self) {
+        // An unfinished writer still joins its encoder thread; the file
+        // stays unsealed, and a panic there stays unreported here.
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
+        }
     }
 }
 
@@ -516,6 +704,15 @@ impl<R: Read + Seek> TraceReader<R> {
         if chunk_events == 0 {
             return Err(TraceFileError::BadHeader {
                 detail: "chunk_events is zero".into(),
+            });
+        }
+        // Checked before anything is sized from it: the chunk buffers of
+        // readers and of `FileSource` are.
+        if chunk_events > MAX_CHUNK_EVENTS {
+            return Err(TraceFileError::BadHeader {
+                detail: format!(
+                    "chunk_events {chunk_events} exceeds MAX_CHUNK_EVENTS ({MAX_CHUNK_EVENTS})"
+                ),
             });
         }
         let codec_raw = u32::from_le_bytes(rest[20..24].try_into().expect("4 bytes"));
@@ -718,7 +915,8 @@ impl<R: Read + Seek> TraceReader<R> {
     ///
     /// Any per-chunk decode error.
     pub fn read_all(&mut self) -> Result<Vec<AccessEvent>, TraceFileError> {
-        let mut all = Vec::with_capacity(self.events as usize);
+        // Grown from decoded chunks, never reserved from the header's total.
+        let mut all = Vec::new();
         let mut chunk = Vec::new();
         for idx in 0..self.chunk_count() {
             self.read_chunk_into(idx, &mut chunk)?;
@@ -806,13 +1004,136 @@ mod tests {
 
     #[test]
     fn unfinished_file_is_rejected() {
+        // Dropped before any chunk filled, with one chunk encoding, and
+        // with one encoding while the next fills: each drop joins the
+        // encoder thread (no hang, no panic) and leaves the file unsealed.
         let events = sample(100);
-        let mut buf = Cursor::new(Vec::new());
-        let mut w = TraceWriter::new(&mut buf, 32, Codec::Raw).unwrap();
-        w.write_events(&events).unwrap();
-        drop(w); // no finish(): header still zero-stamped
-        let err = TraceReader::new(Cursor::new(buf.into_inner())).unwrap_err();
-        assert!(matches!(err, TraceFileError::BadIndex { .. }), "{err}");
+        for codec in [Codec::Raw, Codec::Sequitur] {
+            for n in [0usize, 10, 32, 33, 100] {
+                let mut buf = Cursor::new(Vec::new());
+                let mut w = TraceWriter::new(&mut buf, 32, codec).unwrap();
+                w.write_events(&events[..n]).unwrap();
+                drop(w); // no finish(): header still zero-stamped
+                let err = TraceReader::new(Cursor::new(buf.into_inner())).unwrap_err();
+                assert!(matches!(err, TraceFileError::BadIndex { .. }), "{err}");
+            }
+        }
+    }
+
+    /// A sink that takes `budget` bytes, then fails every write.
+    struct FailingSink {
+        inner: Cursor<Vec<u8>>,
+        budget: usize,
+    }
+
+    impl Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("sink full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            self.inner.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Seek for FailingSink {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn failing_sink_is_an_io_error_with_the_encoder_joined() {
+        let events = sample(1000);
+        for codec in [Codec::Raw, Codec::Sequitur] {
+            // The header is written twice: as a placeholder, then sealed.
+            let total = write_to_vec(&events, 64, codec).len() + HEADER_BYTES as usize;
+            for budget in [0, 39, 40, 500, 5_000, total / 2, total - 41, total - 1] {
+                let sink = FailingSink {
+                    inner: Cursor::new(Vec::new()),
+                    budget,
+                };
+                let mut w = match TraceWriter::new(sink, 64, codec) {
+                    Ok(w) => w,
+                    Err(err) => {
+                        assert!(budget < HEADER_BYTES as usize, "budget {budget}: {err}");
+                        assert!(matches!(err, TraceFileError::Io(_)), "{err}");
+                        continue;
+                    }
+                };
+                let err = match w.write_events(&events) {
+                    Err(err) => {
+                        assert!(w.worker.is_none(), "budget {budget}: encoder left running");
+                        let later = w.push(events[0]).unwrap_err();
+                        assert!(matches!(later, TraceFileError::Io(_)), "{later}");
+                        let later = w.finish().unwrap_err();
+                        assert!(matches!(later, TraceFileError::Io(_)), "{later}");
+                        err
+                    }
+                    Ok(()) => w.finish().unwrap_err(),
+                };
+                assert!(
+                    matches!(err, TraceFileError::Io(_)),
+                    "{} budget {budget}: {err}",
+                    codec.label()
+                );
+            }
+            let sink = FailingSink {
+                inner: Cursor::new(Vec::new()),
+                budget: total,
+            };
+            let mut w = TraceWriter::new(sink, 64, codec).unwrap();
+            w.write_events(&events).unwrap();
+            w.finish().expect("a sink that holds the whole file");
+        }
+    }
+
+    #[test]
+    fn chunk_sizes_past_the_format_bound_are_rejected() {
+        for chunk_events in [0, MAX_CHUNK_EVENTS + 1, u32::MAX] {
+            let err =
+                TraceWriter::new(Cursor::new(Vec::new()), chunk_events, Codec::Raw).unwrap_err();
+            assert!(matches!(err, TraceFileError::BadHeader { .. }), "{err}");
+        }
+        // The bound itself is a valid chunk size, and pushing one event
+        // past it starts a second chunk.
+        let events = vec![sample(1)[0]; MAX_CHUNK_EVENTS as usize + 1];
+        let bytes = write_to_vec(&events, MAX_CHUNK_EVENTS, Codec::Sequitur);
+        let mut r = TraceReader::new(Cursor::new(bytes)).unwrap();
+        assert_eq!(r.chunk_count(), 2);
+        assert_eq!(r.read_all().unwrap(), events);
+    }
+
+    #[test]
+    fn written_files_match_the_golden_digests() {
+        // Pins every byte `TraceWriter` writes, in both codecs: 15,000
+        // OLTP events in 4,096-event chunks (the last one short), with
+        // exact repeats for the grammar to find. The digests are FNV-1a
+        // over the whole file, recorded from the single-threaded writer
+        // that preceded the write-behind encoder.
+        let base: Vec<AccessEvent> = catalog::oltp().generator(0x601D).take(6_000).collect();
+        let mut events = base.clone();
+        for _ in 0..3 {
+            events.extend_from_slice(&base[1_000..3_500]);
+        }
+        events.extend_from_slice(&base[..1_500]);
+        for (codec, len, digest) in [
+            (Codec::Raw, 360_168, 0x2450_c5a5_95ef_327c),
+            (Codec::Sequitur, 375_540, 0x62b4_04c1_3c30_76c7),
+        ] {
+            let bytes = write_to_vec(&events, 4096, codec);
+            assert_eq!(
+                (bytes.len(), fnv_bytes(FNV_BASIS, &bytes)),
+                (len, digest),
+                "{} file drifted",
+                codec.label()
+            );
+        }
     }
 
     #[test]

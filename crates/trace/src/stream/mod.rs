@@ -32,6 +32,6 @@ pub mod source;
 pub use champsim::{read_champsim, write_champsim, ChampSimRecord, CHAMPSIM_RECORD_BYTES};
 pub use format::{
     write_trace_file, Codec, TraceFileError, TraceReader, TraceWriter, DEFAULT_CHUNK_EVENTS,
-    RECORD_BYTES, TRACE_MAGIC,
+    MAX_CHUNK_EVENTS, RECORD_BYTES, TRACE_MAGIC,
 };
 pub use source::{EventSource, FileSource, SliceSource};

@@ -209,9 +209,10 @@ fn empty_trace_reports_zeros() {
 // ---------------------------------------------------------------------
 // Malformed `DMNOTRC1` inputs: every way a trace file can be broken —
 // empty, truncated mid-header, wrong magic, torn final record,
-// misaligned chunk index, flipped payload bytes, an unfinished writer —
-// must surface as a clear `TraceFileError`, never a panic, through both
-// the validating reader and the streaming file source.
+// misaligned chunk index, flipped payload bytes, an unfinished writer, a
+// chunk size past the format's bound — must surface as a clear
+// `TraceFileError`, never a panic or an abort, through both the
+// validating reader and the streaming file source.
 
 use std::io::Cursor;
 
@@ -224,17 +225,13 @@ use domino_trace::workload::catalog;
 /// chunk short), as raw bytes ready for surgery.
 fn sealed_trace_bytes(codec: Codec) -> Vec<u8> {
     let events: Vec<AccessEvent> = catalog::oltp().generator(0xDE6E).take(100).collect();
-    let path = std::env::temp_dir().join(format!(
-        "domino-degenerate-{}-{}.dmno",
-        std::process::id(),
-        codec.label()
-    ));
-    let mut writer = TraceWriter::create(&path, 7, codec).expect("create");
+    // In memory, not a temp file: tests run in parallel, and a path
+    // shared per codec let one test truncate or delete another's file.
+    let mut sink = Cursor::new(Vec::new());
+    let mut writer = TraceWriter::new(&mut sink, 7, codec).expect("create");
     writer.write_events(&events).expect("write");
     writer.finish().expect("finish");
-    let bytes = std::fs::read(&path).expect("read back");
-    std::fs::remove_file(&path).ok();
-    bytes
+    sink.into_inner()
 }
 
 fn open_err(bytes: Vec<u8>) -> TraceFileError {
@@ -402,4 +399,60 @@ fn file_source_propagates_malformed_files_without_panicking() {
     }
     assert!(saw_error, "corrupted payload streamed cleanly");
     std::fs::remove_file(&path).ok();
+}
+
+/// A 112-byte file whose header and index agree on one Sequitur chunk of
+/// `u32::MAX` events, followed by a 1-entry dictionary (an all-zero
+/// record) and a 1-symbol grammar. `tools/check.sh` writes the same bytes.
+fn hostile_chunk_size_bytes() -> Vec<u8> {
+    let claim = u32::MAX;
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(b"DMNOTRC1");
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // version
+    bytes.extend_from_slice(&24u32.to_le_bytes()); // record bytes
+    bytes.extend_from_slice(&u64::from(claim).to_le_bytes()); // events
+    bytes.extend_from_slice(&claim.to_le_bytes()); // chunk events
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // codec: sequitur
+    bytes.extend_from_slice(&80u64.to_le_bytes()); // index offset
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // dictionary length
+    bytes.extend_from_slice(&[0u8; 24]); // the one record
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // rule count
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // start rule length
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // dictionary id 0
+    bytes.extend_from_slice(&40u64.to_le_bytes()); // chunk offset
+    bytes.extend_from_slice(&40u64.to_le_bytes()); // chunk byte length
+    bytes.extend_from_slice(&claim.to_le_bytes()); // chunk events
+    bytes.extend_from_slice(&[0u8; 12]); // reserved, digest
+    bytes
+}
+
+#[test]
+fn hostile_chunk_size_is_a_bad_header() {
+    let bytes = hostile_chunk_size_bytes();
+    assert_eq!(bytes.len(), 112);
+    // Buffers sized from the claimed chunk would hold about 100 GB of
+    // records, and a failed allocation aborts the whole test binary: the
+    // header must be refused before anything is sized from it.
+    match TraceReader::new(Cursor::new(bytes.clone())) {
+        Ok(mut reader) => {
+            let _ = reader.read_all();
+            panic!("a chunk of u32::MAX events validated cleanly");
+        }
+        Err(err) => assert!(
+            matches!(err, TraceFileError::BadHeader { .. }),
+            "unexpected error {err}"
+        ),
+    }
+    let path = std::env::temp_dir().join(format!(
+        "domino-degenerate-hostile-{}.dmno",
+        std::process::id()
+    ));
+    std::fs::write(&path, &bytes).expect("write hostile trace");
+    let opened = FileSource::open(&path);
+    std::fs::remove_file(&path).ok();
+    match opened {
+        Ok(_) => panic!("FileSource opened a chunk of u32::MAX events"),
+        Err(TraceFileError::BadHeader { .. }) => {}
+        Err(other) => panic!("unexpected error {other}"),
+    }
 }

@@ -224,7 +224,37 @@ if [ "${1:-}" != "--fast" ]; then
         ingest synth oltp --events 30000 --chunk-events 1000 \
             --out "$ingest_dir/oltp.dmno"
         ingest compress "$ingest_dir/oltp.dmno" "$ingest_dir/oltp.seq.dmno"
+        # Chunks are encoded on a write-behind thread; the file must not
+        # depend on its timing.
+        ingest compress "$ingest_dir/oltp.dmno" "$ingest_dir/oltp.seq2.dmno"
+        cmp "$ingest_dir/oltp.seq.dmno" "$ingest_dir/oltp.seq2.dmno"
         ingest verify "$ingest_dir/oltp.dmno" "$ingest_dir/oltp.seq.dmno"
+        # A 112-byte file whose header and index claim one Sequitur chunk
+        # of 2^32-1 events (tests/degenerate_traces.rs builds the same
+        # bytes): verify must exit 1 with an error line, not abort on an
+        # allocation sized from the claim.
+        hostile="$ingest_dir/hostile.dmno"
+        {
+            printf 'DMNOTRC1\001\000\000\000\030\000\000\000'
+            printf '\377\377\377\377\000\000\000\000\377\377\377\377'
+            printf '\001\000\000\000\120\000\000\000\000\000\000\000'
+            printf '\001\000\000\000'
+            printf '\000\000\000\000\000\000\000\000\000\000\000\000'
+            printf '\000\000\000\000\000\000\000\000\000\000\000\000'
+            printf '\001\000\000\000\001\000\000\000\000\000\000\000'
+            printf '\050\000\000\000\000\000\000\000'
+            printf '\050\000\000\000\000\000\000\000\377\377\377\377'
+            printf '\000\000\000\000\000\000\000\000\000\000\000\000'
+        } >"$hostile"
+        [ "$(wc -c <"$hostile")" -eq 112 ]
+        status=0
+        ingest verify "$hostile" 2>"$ingest_dir/hostile.err" || status=$?
+        if [ "$status" -ne 1 ] || ! grep -q "domino-ingest: error:" "$ingest_dir/hostile.err"; then
+            echo "    ERROR: verify of a hostile chunk size exited $status:"
+            cat "$ingest_dir/hostile.err"
+            exit 1
+        fi
+        echo "    hostile chunk size rejected: $(cat "$ingest_dir/hostile.err")"
         ingest export-champsim "$ingest_dir/oltp.dmno" "$ingest_dir/oltp.champsim"
         ingest champsim "$ingest_dir/oltp.champsim" "$ingest_dir/oltp2.dmno"
         ingest export-champsim "$ingest_dir/oltp2.dmno" "$ingest_dir/oltp2.champsim"

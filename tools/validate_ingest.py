@@ -7,7 +7,8 @@ An independent stdlib-only reimplementation of the `DMNOTRC1` container
 documented in crates/trace/src/stream/format.rs, so format drift between
 the Rust writer and this checker fails CI. Checks per file:
 
-  * magic, version, record size, codec, and header/index geometry;
+  * magic, version, record size, codec, and header/index geometry,
+    with chunk_events at most MAX_CHUNK_EVENTS (format.rs);
   * the chunk index is contiguous (payloads back to back from byte 40
     up to index_offset, no gaps or overlaps, no trailing bytes);
   * every chunk decodes — raw chunks as whole 24-byte records with
@@ -32,6 +33,7 @@ RECORD_BYTES = 24
 HEADER_BYTES = 40
 INDEX_ENTRY_BYTES = 32
 CODEC_RAW, CODEC_SEQUITUR = 0, 1
+MAX_CHUNK_EVENTS = 1 << 20
 
 FNV_BASIS = 0xCBF2_9CE4_8422_2325
 FNV_PRIME = 0x0000_0100_0000_01B3
@@ -128,9 +130,10 @@ def decode_sequitur_chunk(payload, events, chunk):
         )
 
     # Expand the start rule with an explicit stack, capped so hostile
-    # cyclic grammars terminate with an error instead of looping.
+    # cyclic grammars terminate with an error instead of looping. A
+    # Sequitur derivation takes under three steps per event.
     total_syms = sum(len(b) for b in rules)
-    step_limit = events * 2 + total_syms * 2 + 64
+    step_limit = events * 3 + total_syms * 2 + 64
     out = []
     stack = [(0, 0)]
     steps = 0
@@ -184,6 +187,8 @@ def validate_file(path):
         fail(path, f"unknown codec {codec}")
     if chunk_events == 0 and total_events != 0:
         fail(path, f"chunk_events 0 with {total_events} events")
+    if chunk_events > MAX_CHUNK_EVENTS:
+        fail(path, f"chunk_events {chunk_events} exceeds MAX_CHUNK_EVENTS ({MAX_CHUNK_EVENTS})")
 
     chunk_count = (total_events + chunk_events - 1) // chunk_events if total_events else 0
     index_bytes = chunk_count * INDEX_ENTRY_BYTES
