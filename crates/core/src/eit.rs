@@ -103,23 +103,25 @@ impl EitConfig {
     }
 }
 
-/// The EIT's one backing: a sparse map from row key to a block of
-/// super-entry slots in a flat, lazily-grown slab.
+/// The EIT's one backing: a sparse map from row key to a row of
+/// super-entry slot ids, over a flat slab of super-entry slots.
 ///
 /// The row key is the tag's row (`row_index`) in a finite table. In the
-/// unbounded table (`rows == 0`) the key is the tag itself and each block
-/// holds a single super-entry slot, so every tag owns its row: rows never
-/// conflict and nothing is ever evicted.
+/// unbounded table (`rows == 0`) the key is the tag itself and each row
+/// holds a single slot id, so every tag owns its row: rows never conflict
+/// and nothing is ever evicted.
 ///
-/// Each written row owns one *block* of `super_cap` super-entry slots
-/// at a fixed stride; a slot is a tag, an entry count, and `entry_cap`
-/// inline [`EitEntry`] slots in the parallel `entries` slab. Within a
-/// block the occupied prefix is kept physically in LRU order (slot 0 =
-/// oldest), so both levels of LRU are slice rotations over contiguous
-/// memory — one cache-line-friendly run per lookup, the same locality
-/// argument the paper makes for packing super-entries in DRAM rows.
+/// Each written row owns `super_cap` 4-byte slot ids at a fixed stride,
+/// its occupied prefix kept in LRU order (oldest first). A slot is a
+/// tag, an entry count, and `entry_cap` inline [`EitEntry`] slots in
+/// the parallel `entries` slab, occupied prefix oldest-first. Slots are
+/// carved one per new tag, so a row costs its ids plus one slot per tag
+/// it has held at once — almost every written row holds one tag. A tag
+/// evicted by capacity pressure hands its slot to the newcomer in place,
+/// so row-level LRU rotates ids, and only the entry-level LRU moves
+/// entries.
 ///
-/// A row gets its map entry and its block on its first write, so the
+/// A row gets its map entry and its ids on its first write, so the
 /// table costs memory and set-up in proportion to the rows it has
 /// written: an empty 2 M-row table allocates nothing. Once the working
 /// set of rows is warm the table performs no further heap allocation.
@@ -127,18 +129,19 @@ impl EitConfig {
 struct RowSlab {
     /// Row count of a finite table; `0` keys rows by tag.
     rows: usize,
-    /// Row key → block id, for rows written at least once.
-    row_block: FxHashMap<u64, u32>,
-    /// Per-block count of occupied super-entry slots.
+    /// Row key → row id, for rows written at least once.
+    row_ids: FxHashMap<u64, u32>,
+    /// Per-row count of occupied slot ids.
     occ: Vec<u8>,
-    /// Super-entry tags; block `b` owns `[b*super_cap, (b+1)*super_cap)`,
+    /// Slot ids; row `r` owns `[r*super_cap, (r+1)*super_cap)`,
     /// occupied prefix oldest-first.
+    ids: Vec<u32>,
+    /// Super-entry tags, one per slot.
     tags: Vec<LineAddr>,
     /// Entry counts, parallel to `tags`.
     lens: Vec<u8>,
-    /// Inline entry storage; slot `s` of block `b` owns
-    /// `[(b*super_cap + s) * entry_cap, ..)`, occupied prefix
-    /// oldest-first.
+    /// Inline entry storage; slot `s` owns
+    /// `[s*entry_cap, (s+1)*entry_cap)`, occupied prefix oldest-first.
     entries: Vec<EitEntry>,
     super_cap: usize,
     entry_cap: usize,
@@ -157,8 +160,9 @@ impl RowSlab {
         assert!(entry_cap <= u8::MAX as usize, "entry capacity too large");
         RowSlab {
             rows: cfg.rows,
-            row_block: FxHashMap::default(),
+            row_ids: FxHashMap::default(),
             occ: Vec::new(),
+            ids: Vec::new(),
             tags: Vec::new(),
             lens: Vec::new(),
             entries: Vec::new(),
@@ -176,55 +180,64 @@ impl RowSlab {
         }
     }
 
-    /// The block of `tag`'s row, if the row has been written.
-    fn block_of(&self, tag: LineAddr) -> Option<usize> {
-        self.row_block.get(&self.key(tag)).map(|&b| b as usize)
+    /// The id of `tag`'s row, if the row has been written.
+    fn row_of(&self, tag: LineAddr) -> Option<usize> {
+        self.row_ids.get(&self.key(tag)).map(|&r| r as usize)
     }
 
-    /// The block of `tag`'s row, carving a fresh one on first write.
-    fn block_for(&mut self, tag: LineAddr) -> usize {
+    /// The id of `tag`'s row, giving it ids on first write.
+    fn row_for(&mut self, tag: LineAddr) -> usize {
         let key = self.key(tag);
         let fresh = self.occ.len();
         let id = self
-            .row_block
+            .row_ids
             .entry(key)
-            .or_insert_with(|| u32::try_from(fresh).expect("EIT block count exceeds u32::MAX"));
-        let b = *id as usize;
-        if b == fresh {
+            .or_insert_with(|| u32::try_from(fresh).expect("EIT row count exceeds u32::MAX"));
+        let r = *id as usize;
+        if r == fresh {
             self.occ.push(0);
-            let filler = LineAddr::default();
-            self.tags.resize(self.tags.len() + self.super_cap, filler);
-            self.lens.resize(self.lens.len() + self.super_cap, 0);
-            let empty = EitEntry {
-                addr: filler,
-                pointer: 0,
-            };
-            self.entries
-                .resize(self.entries.len() + self.super_cap * self.entry_cap, empty);
+            self.ids.resize(self.ids.len() + self.super_cap, 0);
         }
-        b
+        r
     }
 
-    /// Promotes slot `pos` of block `b` to the MRU end of its occupied
-    /// prefix (length `occ`) by rotating all three parallel slabs.
-    fn promote(&mut self, b: usize, pos: usize, occ: usize) {
-        let base = b * self.super_cap;
-        self.tags[base + pos..base + occ].rotate_left(1);
-        self.lens[base + pos..base + occ].rotate_left(1);
-        let e = self.entry_cap;
-        let ebase = base * e;
-        self.entries[ebase + pos * e..ebase + occ * e].rotate_left(e);
+    /// Carves a fresh, empty slot for `tag`.
+    fn new_slot(&mut self, tag: LineAddr) -> u32 {
+        let id = u32::try_from(self.tags.len()).expect("EIT slot count exceeds u32::MAX");
+        self.tags.push(tag);
+        self.lens.push(0);
+        let empty = EitEntry {
+            addr: LineAddr::default(),
+            pointer: 0,
+        };
+        self.entries
+            .resize(self.entries.len() + self.entry_cap, empty);
+        id
+    }
+
+    /// Position of `tag` among the `occ` occupied ids of the row at
+    /// `base`.
+    fn find(&self, base: usize, occ: usize, tag: LineAddr) -> Option<usize> {
+        self.ids[base..base + occ]
+            .iter()
+            .position(|&s| self.tags[s as usize] == tag)
+    }
+
+    /// Promotes the id at `pos` to the MRU end of the row's occupied
+    /// prefix `[base, base + occ)`; returns that id.
+    fn promote(&mut self, base: usize, pos: usize, occ: usize) -> usize {
+        self.ids[base + pos..base + occ].rotate_left(1);
+        self.ids[base + occ - 1] as usize
     }
 
     fn lookup(&mut self, tag: LineAddr) -> Option<SuperEntryRef<'_>> {
-        let b = self.block_of(tag)?;
-        let base = b * self.super_cap;
-        let occ = self.occ[b] as usize;
-        let pos = self.tags[base..base + occ].iter().position(|&t| t == tag)?;
-        self.promote(b, pos, occ);
-        let slot = occ - 1;
-        let len = self.lens[base + slot] as usize;
-        let eb = (base + slot) * self.entry_cap;
+        let r = self.row_of(tag)?;
+        let base = r * self.super_cap;
+        let occ = self.occ[r] as usize;
+        let pos = self.find(base, occ, tag)?;
+        let slot = self.promote(base, pos, occ);
+        let len = self.lens[slot] as usize;
+        let eb = slot * self.entry_cap;
         Some(SuperEntryRef {
             tag,
             entries: &self.entries[eb..eb + len],
@@ -232,23 +245,21 @@ impl RowSlab {
     }
 
     fn probe(&self, tag: LineAddr) -> bool {
-        let Some(b) = self.block_of(tag) else {
+        let Some(r) = self.row_of(tag) else {
             return false;
         };
-        let base = b * self.super_cap;
-        let occ = self.occ[b] as usize;
-        self.tags[base..base + occ].contains(&tag)
+        self.find(r * self.super_cap, self.occ[r] as usize, tag)
+            .is_some()
     }
 
     /// Records `tag → (next, pointer)`; both LRU levels behave exactly
     /// like the nested-`Vec` layout. Returns an evicted tag, if any.
     fn update(&mut self, tag: LineAddr, next: LineAddr, pointer: u64) -> Option<LineAddr> {
-        let b = self.block_for(tag);
-        let s = self.super_cap;
-        let base = b * s;
-        let occ = self.occ[b] as usize;
+        let r = self.row_for(tag);
+        let base = r * self.super_cap;
+        let occ = self.occ[r] as usize;
         let mut evicted = None;
-        let slot = match self.tags[base..base + occ].iter().position(|&t| t == tag) {
+        let slot = match self.find(base, occ, tag) {
             Some(pos) => {
                 // Injected bug for the checker self-test: a refreshed
                 // super-entry stays at its old LRU position, so capacity
@@ -258,32 +269,28 @@ impl RowSlab {
                 #[cfg(not(domino_mutate))]
                 let skip_promotion = false;
                 if skip_promotion {
-                    pos
+                    self.ids[base + pos] as usize
                 } else {
-                    self.promote(b, pos, occ);
-                    occ - 1
+                    self.promote(base, pos, occ)
                 }
             }
+            None if occ == self.super_cap => {
+                // The LRU tag's slot becomes the newcomer's, now MRU.
+                let slot = self.promote(base, 0, occ);
+                evicted = Some(std::mem::replace(&mut self.tags[slot], tag));
+                self.lens[slot] = 0;
+                slot
+            }
             None => {
-                if occ == s {
-                    evicted = Some(self.tags[base]);
-                    self.promote(b, 0, s);
-                    let slot = s - 1;
-                    self.tags[base + slot] = tag;
-                    self.lens[base + slot] = 0;
-                    slot
-                } else {
-                    self.occ[b] += 1;
-                    self.tags[base + occ] = tag;
-                    self.lens[base + occ] = 0;
-                    occ
-                }
+                let id = self.new_slot(tag);
+                self.ids[base + occ] = id;
+                self.occ[r] += 1;
+                id as usize
             }
         };
         let e = self.entry_cap;
-        let len = self.lens[base + slot] as usize;
-        let eb = (base + slot) * e;
-        let block = &mut self.entries[eb..eb + e];
+        let len = self.lens[slot] as usize;
+        let block = &mut self.entries[slot * e..(slot + 1) * e];
         let fresh = EitEntry {
             addr: next,
             pointer,
@@ -296,17 +303,18 @@ impl RowSlab {
             block[e - 1] = fresh;
         } else {
             block[len] = fresh;
-            self.lens[base + slot] = len as u8 + 1;
+            self.lens[slot] = len as u8 + 1;
         }
         evicted
     }
 
-    /// Bytes held: one map slot (key, block id, control byte) per
-    /// written row plus the slabs.
+    /// Bytes held: one map slot (key, row id, control byte) per written
+    /// row plus the slabs.
     fn footprint_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.row_block.len() * (size_of::<(u64, u32)>() + 1)
+        self.row_ids.len() * (size_of::<(u64, u32)>() + 1)
             + self.occ.len()
+            + self.ids.len() * size_of::<u32>()
             + self.tags.len() * size_of::<LineAddr>()
             + self.lens.len()
             + self.entries.len() * size_of::<EitEntry>()
@@ -521,6 +529,73 @@ mod tests {
         for i in 0..10_000u64 {
             assert!(eit.lookup(line(i)).is_some(), "tag {i} lost");
         }
+    }
+
+    /// Bytes of one super-entry slot: tag, entry count, inline entries.
+    fn slot_bytes(cfg: &EitConfig) -> usize {
+        std::mem::size_of::<LineAddr>()
+            + 1
+            + cfg.entries_per_super * std::mem::size_of::<EitEntry>()
+    }
+
+    /// Bytes a written row costs besides its slots: map slot, occupancy
+    /// byte and `ids` slot ids.
+    fn row_bytes(ids: usize) -> usize {
+        std::mem::size_of::<(u64, u32)>() + 1 + 1 + ids * std::mem::size_of::<u32>()
+    }
+
+    #[test]
+    fn single_tag_rows_cost_one_slot_each() {
+        let cfg = EitConfig::default();
+        let mut eit = Eit::new(cfg);
+        for i in 0..1000u64 {
+            eit.update(line(i * 7919), line(i), i);
+        }
+        // Tags that share a row share its ids, so this is a ceiling.
+        let per_row = row_bytes(cfg.super_entries_per_row) + slot_bytes(&cfg);
+        assert!(
+            eit.footprint_bytes() <= 1000 * per_row,
+            "{} bytes for 1,000 single-tag rows",
+            eit.footprint_bytes()
+        );
+        // An unbounded row is exactly one id and one slot.
+        let cfg = EitConfig::unbounded();
+        let mut eit = Eit::new(cfg);
+        for i in 0..1000u64 {
+            eit.update(line(i * 7919), line(i), i);
+        }
+        assert_eq!(
+            eit.footprint_bytes(),
+            1000 * (row_bytes(1) + slot_bytes(&cfg))
+        );
+    }
+
+    #[test]
+    fn evictions_reuse_slots_in_place() {
+        let mut eit = Eit::new(EitConfig {
+            rows: 1,
+            super_entries_per_row: 4,
+            entries_per_super: 3,
+        });
+        for i in 0..4u64 {
+            eit.update(line(i), line(100 + i), i);
+            eit.update(line(i), line(200 + i), i);
+        }
+        let full = eit.footprint_bytes();
+        for i in 4..1000u64 {
+            assert_eq!(eit.update(line(i), line(i + 1), i), Some(line(i - 4)));
+        }
+        assert_eq!(eit.rows.tags.len(), 4, "the slot slab grew");
+        assert_eq!(eit.footprint_bytes(), full);
+        // A reused slot starts empty: nothing of its old tag survives.
+        let se = eit.lookup(line(999)).expect("newest tag resident");
+        assert_eq!(
+            se.entries(),
+            &[EitEntry {
+                addr: line(1000),
+                pointer: 999
+            }]
+        );
     }
 
     #[test]

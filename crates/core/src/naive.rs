@@ -101,6 +101,13 @@ impl Prefetcher for NaiveDomino {
         self.ht.reserve(expected_events);
     }
 
+    fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ht.footprint_bytes()
+            + self.single.len() * (size_of::<LineAddr>() + size_of::<u64>())
+            + self.pair.len() * (size_of::<PairKey>() + size_of::<u64>())
+    }
+
     fn on_trigger(&mut self, event: &TriggerEvent, sink: &mut dyn PrefetchSink) {
         let line = event.line;
         let prev = self.prev.replace(line);

@@ -155,8 +155,10 @@ fn ops(rng: &mut SimRng, len: usize, tags: &[u64]) -> Vec<Op> {
 
 /// Drives `eit` and `model` through `ops`, asserting that they agree on
 /// every eviction, every probe and every lookup: same presence, same
-/// entries in the same LRU order, same pointers.
-fn check(eit: &mut Eit, model: &mut dyn Model, ops: &[Op], case: &str) {
+/// entries in the same LRU order, same pointers. Returns the number of
+/// evictions.
+fn check(eit: &mut Eit, model: &mut dyn Model, ops: &[Op], case: &str) -> usize {
+    let mut evictions = 0;
     for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Update { tag, next, pointer } => {
@@ -165,6 +167,7 @@ fn check(eit: &mut Eit, model: &mut dyn Model, ops: &[Op], case: &str) {
                     .map(|t| t.raw());
                 let want = model.update(tag, next, pointer);
                 assert_eq!(got, want, "{case}, op {i}: eviction diverged at tag {tag}");
+                evictions += usize::from(got.is_some());
             }
             Op::Lookup { tag } => {
                 let probed = eit.probe(LineAddr::new(tag));
@@ -180,6 +183,7 @@ fn check(eit: &mut Eit, model: &mut dyn Model, ops: &[Op], case: &str) {
             }
         }
     }
+    evictions
 }
 
 /// The EIT agrees with the reference models on two kinds of input.
@@ -229,6 +233,28 @@ fn eit_matches_reference_model() {
         };
         let label = format!("{rows} rows, case {case}");
         check(&mut Eit::new(cfg), reference(&cfg).as_mut(), &ops, &label);
+    }
+}
+
+/// Rows filled far past their super-entry capacity at the paper's
+/// per-row geometry (four super-entries of three entries), with lookups
+/// and probes between updates reordering each row's LRU. Every eviction
+/// hands the victim's slot to the newcomer; the EIT must still agree
+/// with the reference model on every victim and every lookup.
+#[test]
+fn overfull_rows_match_reference_model() {
+    for case in 0..32u64 {
+        let mut rng = SimRng::seed(0xE17_F011 + case);
+        let cfg = EitConfig {
+            rows: 1 + rng.index(4),
+            ..EitConfig::default()
+        };
+        // Three tags for every super-entry slot the table has.
+        let tags: Vec<u64> = (0..(3 * cfg.rows * cfg.super_entries_per_row) as u64).collect();
+        let ops = ops(&mut rng, 2000, &tags);
+        let label = format!("overfull case {case}");
+        let evictions = check(&mut Eit::new(cfg), reference(&cfg).as_mut(), &ops, &label);
+        assert!(evictions > 0, "{label}: no row overflowed");
     }
 }
 

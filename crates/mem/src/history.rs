@@ -33,6 +33,11 @@ pub struct HistoryEntry {
 /// Positions are *global sequence numbers*: they keep growing forever, and
 /// a position is readable only while it has not been overwritten.
 ///
+/// Storage is one line per slot (8 bytes, as the paper's rows pack bare
+/// addresses) plus one stream-head bit per slot in a parallel bitset.
+/// The flag cannot borrow a bit of the line: every `u64` is a valid
+/// [`LineAddr`].
+///
 /// ```
 /// use domino_mem::history::HistoryTable;
 /// use domino_trace::addr::LineAddr;
@@ -43,14 +48,16 @@ pub struct HistoryEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HistoryTable {
-    /// Ring storage; index = position % capacity.
-    ring: Vec<HistoryEntry>,
+    /// Logged lines. Slot = position in an unbounded table, position %
+    /// capacity in a bounded ring (which grows until full, then
+    /// overwrites in place).
+    lines: Vec<LineAddr>,
+    /// Stream-head flags: slot `i` is bit `i % 64` of word `i / 64`.
+    heads: Vec<u64>,
     /// Total entries ever appended.
     appended: u64,
     /// Ring capacity (entries). `0` means unbounded (grow forever).
     capacity: usize,
-    /// Unbounded storage when `capacity == 0`.
-    unbounded: Vec<HistoryEntry>,
 }
 
 impl HistoryTable {
@@ -58,10 +65,10 @@ impl HistoryTable {
     /// (`0` = unbounded, the paper's idealized STMS/Digram setting).
     pub fn new(capacity: usize) -> Self {
         HistoryTable {
-            ring: Vec::new(),
+            lines: Vec::new(),
+            heads: Vec::new(),
             appended: 0,
             capacity,
-            unbounded: Vec::new(),
         }
     }
 
@@ -75,25 +82,47 @@ impl HistoryTable {
     /// at most their remaining fill distance (a full ring overwrites in
     /// place and needs nothing).
     pub fn reserve(&mut self, expected_appends: usize) {
-        if self.capacity == 0 {
-            self.unbounded.reserve(expected_appends);
+        let grow = if self.capacity == 0 {
+            expected_appends
         } else {
-            let room = self.capacity - self.ring.len();
-            self.ring.reserve(expected_appends.min(room));
+            expected_appends.min(self.capacity - self.lines.len())
+        };
+        self.lines.reserve(grow);
+        let words = (self.lines.len() + grow).div_ceil(64);
+        self.heads.reserve(words - self.heads.len());
+    }
+
+    /// The storage slot of `pos`: the position itself until a bounded
+    /// ring first wraps, which spares the replay path a division.
+    fn slot(&self, pos: u64) -> usize {
+        if self.capacity == 0 || pos < self.capacity as u64 {
+            pos as usize
+        } else {
+            (pos % self.capacity as u64) as usize
         }
     }
 
     /// Appends an event; returns its global position.
     pub fn append(&mut self, line: LineAddr, stream_head: bool) -> u64 {
         let pos = self.appended;
-        let entry = HistoryEntry { line, stream_head };
-        if self.capacity == 0 {
-            self.unbounded.push(entry);
-        } else if self.ring.len() < self.capacity {
-            self.ring.push(entry);
+        let slot = if self.capacity == 0 || self.lines.len() < self.capacity {
+            let slot = self.lines.len();
+            self.lines.push(line);
+            if slot.is_multiple_of(64) {
+                self.heads.push(0);
+            }
+            slot
         } else {
-            let idx = (pos % self.capacity as u64) as usize;
-            self.ring[idx] = entry;
+            let slot = self.slot(pos);
+            self.lines[slot] = line;
+            slot
+        };
+        let bit = 1u64 << (slot % 64);
+        let word = &mut self.heads[slot / 64];
+        if stream_head {
+            *word |= bit;
+        } else {
+            *word &= !bit;
         }
         self.appended += 1;
         pos
@@ -104,11 +133,13 @@ impl HistoryTable {
         self.appended
     }
 
-    /// Bytes of ring/unbounded storage currently allocated (entries
-    /// live, not reserved capacity) — the history's share of
+    /// Bytes of line and flag storage currently in use (entries live,
+    /// not reserved capacity): 8 bytes per entry plus one `u64` flag
+    /// word per 64 entries. The history's share of
     /// `Prefetcher::footprint_bytes`.
     pub fn footprint_bytes(&self) -> usize {
-        (self.ring.len() + self.unbounded.len()) * std::mem::size_of::<HistoryEntry>()
+        self.lines.len() * std::mem::size_of::<LineAddr>()
+            + self.heads.len() * std::mem::size_of::<u64>()
     }
 
     /// Whether nothing has been appended.
@@ -133,11 +164,11 @@ impl HistoryTable {
         if !self.is_live(pos) {
             return None;
         }
-        if self.capacity == 0 {
-            Some(self.unbounded[pos as usize])
-        } else {
-            Some(self.ring[(pos % self.capacity as u64) as usize])
-        }
+        let slot = self.slot(pos);
+        Some(HistoryEntry {
+            line: self.lines[slot],
+            stream_head: (self.heads[slot / 64] >> (slot % 64)) & 1 == 1,
+        })
     }
 
     /// Row number containing `pos` (rows are [`ROW_ENTRIES`] wide).
@@ -198,6 +229,20 @@ mod tests {
     }
 
     #[test]
+    fn overwrite_replaces_the_stream_head_flag() {
+        let mut ht = HistoryTable::new(3);
+        for i in 0..3 {
+            ht.append(line(i), true);
+        }
+        ht.append(line(3), false); // overwrites position 0's slot
+        ht.append(line(u64::MAX), true);
+        assert!(!ht.get(3).unwrap().stream_head, "stale flag survived");
+        assert!(ht.get(2).unwrap().stream_head);
+        let top = ht.get(4).unwrap();
+        assert_eq!((top.line, top.stream_head), (line(u64::MAX), true));
+    }
+
+    #[test]
     fn unbounded_keeps_everything() {
         let mut ht = HistoryTable::new(0);
         for i in 0..1000 {
@@ -233,6 +278,22 @@ mod tests {
         let (succ, rows) = ht.successors(ROW_ENTRIES as u64 - 3, 4);
         assert_eq!(succ.len(), 4);
         assert_eq!(rows, 2);
+    }
+
+    #[test]
+    fn footprint_is_eight_bytes_per_entry_plus_flag_words() {
+        let mut ht = HistoryTable::new(0);
+        assert_eq!(ht.footprint_bytes(), 0);
+        for i in 0..100 {
+            ht.append(line(i), i % 2 == 0);
+        }
+        assert_eq!(ht.footprint_bytes(), 100 * 8 + 2 * 8);
+        // A full ring stops growing: 70 lines, two flag words.
+        let mut ring = HistoryTable::new(70);
+        for i in 0..200 {
+            ring.append(line(i), true);
+        }
+        assert_eq!(ring.footprint_bytes(), 70 * 8 + 2 * 8);
     }
 
     #[test]

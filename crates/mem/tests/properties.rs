@@ -1,12 +1,12 @@
 //! Property-based tests for the memory substrates: the set-associative
 //! cache against a reference model, prefetch-buffer accounting, MSHR
-//! bounds, and history-table residency.
+//! bounds, and the history table against a reference log.
 //!
 //! Inputs are drawn from a seeded [`SimRng`] so the suite is fully
 //! deterministic and dependency-free.
 
 use domino_mem::cache::{CacheConfig, Replacement, SetAssocCache};
-use domino_mem::history::HistoryTable;
+use domino_mem::history::{HistoryEntry, HistoryTable};
 use domino_mem::mshr::MshrFile;
 use domino_mem::prefetch_buffer::PrefetchBuffer;
 use domino_trace::addr::{LineAddr, LINE_BYTES};
@@ -189,6 +189,63 @@ fn history_residency() {
                 assert_eq!(e.line, LineAddr::new(lines[pos as usize]));
             } else {
                 assert!(ht.get(pos).is_none());
+            }
+        }
+    }
+}
+
+/// The history table against a plain `Vec<HistoryEntry>` of everything
+/// ever appended. After every append, `len`, `is_live`, `get` and
+/// `successors` must agree with the log, for an unbounded table (0),
+/// across flag-word boundaries (63, 64, 65) and through ring wrap (1,
+/// 12, 200). Lines span the whole `u64` range, `u64::MAX` included.
+#[test]
+fn history_matches_reference_log() {
+    for capacity in [0usize, 1, 12, 63, 64, 65, 200] {
+        for case in 0..8u64 {
+            let mut rng = SimRng::seed(0x415_7AB0 + 1000 * capacity as u64 + case);
+            let mut ht = HistoryTable::new(capacity);
+            let mut log: Vec<HistoryEntry> = Vec::new();
+            for _ in 0..150 + rng.index(300) {
+                let raw = if rng.chance(0.1) {
+                    u64::MAX
+                } else {
+                    rng.next_u64()
+                };
+                let entry = HistoryEntry {
+                    line: LineAddr::new(raw),
+                    stream_head: rng.chance(0.5),
+                };
+                let pos = ht.append(entry.line, entry.stream_head);
+                assert_eq!(pos, log.len() as u64);
+                log.push(entry);
+                let n = log.len() as u64;
+                assert_eq!(ht.len(), n);
+                let live = |p: u64| p < n && (capacity == 0 || n - p <= capacity as u64);
+                for p in 0..n + 2 {
+                    assert_eq!(
+                        ht.is_live(p),
+                        live(p),
+                        "cap {capacity}: is_live({p}) of {n}"
+                    );
+                    let want = live(p).then(|| log[p as usize]);
+                    assert_eq!(ht.get(p), want, "cap {capacity}: get({p}) of {n}");
+                }
+                let from = rng.below(n + 1);
+                let k = rng.index(30);
+                let want: Vec<HistoryEntry> = (from + 1..from + 1 + k as u64)
+                    .take_while(|&p| live(p))
+                    .map(|p| log[p as usize])
+                    .collect();
+                let mut rows: Vec<u64> = (from + 1..from + 1 + want.len() as u64)
+                    .map(HistoryTable::row_of)
+                    .collect();
+                rows.dedup();
+                assert_eq!(
+                    ht.successors(from, k),
+                    (want, rows.len() as u32),
+                    "cap {capacity}: successors({from}, {k}) of {n}"
+                );
             }
         }
     }

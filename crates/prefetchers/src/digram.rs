@@ -113,6 +113,13 @@ impl Prefetcher for Digram {
         self.known.contains(&line)
     }
 
+    fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ht.footprint_bytes()
+            + self.index.len() * (size_of::<PairKey>() + size_of::<u64>())
+            + self.known.len() * size_of::<LineAddr>()
+    }
+
     fn on_trigger(&mut self, event: &TriggerEvent, sink: &mut dyn PrefetchSink) {
         let line = event.line;
         let mut trips = 0u8;

@@ -26,6 +26,20 @@ use domino_trace::addr::{LineAddr, Pc};
 /// Sentinel: no successor recorded yet.
 const NO_NODE: u32 = u32::MAX;
 
+/// The arena index of a node pushed onto an arena of `len` nodes.
+///
+/// # Panics
+///
+/// Panics once the arena holds `NO_NODE` (2³²−1) nodes: that index is
+/// the no-successor sentinel and any larger one wraps, either of which
+/// would silently corrupt the per-PC chains.
+fn arena_index(len: usize) -> u32 {
+    match u32::try_from(len) {
+        Ok(idx) if idx != NO_NODE => idx,
+        _ => panic!("ISB arena full: index {len} is not below the NO_NODE bound ({NO_NODE})"),
+    }
+}
+
 /// One logged triggering event in the shared sequence arena: the line and
 /// the arena index of the *next* event of the same PC's stream. The
 /// per-PC sequences of the idealized design thus live as linked chains in
@@ -77,6 +91,13 @@ impl Prefetcher for Isb {
         self.nodes.reserve(expected_events);
     }
 
+    fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.len() * size_of::<SeqNode>()
+            + self.tails.len() * (size_of::<Pc>() + size_of::<u32>())
+            + self.last.len() * (size_of::<(Pc, LineAddr)>() + size_of::<u32>())
+    }
+
     fn on_trigger(&mut self, event: &TriggerEvent, sink: &mut dyn PrefetchSink) {
         // Predict: walk the successors of the last occurrence of this
         // address in this PC's stream. Idealized on-chip metadata: no
@@ -96,7 +117,7 @@ impl Prefetcher for Isb {
             }
         }
         // Train: append the event and link it behind the PC's tail.
-        let new_idx = self.nodes.len() as u32;
+        let new_idx = arena_index(self.nodes.len());
         self.nodes.push(SeqNode {
             line: event.line,
             next: NO_NODE,
@@ -157,6 +178,34 @@ mod tests {
         // even if the program is now in the 10→11 structure.
         let issued = drive(&mut p, &[(1, 10)]);
         assert_eq!(issued, vec![50]);
+    }
+
+    #[test]
+    fn arena_index_reaches_the_last_index_below_the_sentinel() {
+        assert_eq!(arena_index(NO_NODE as usize - 1), NO_NODE - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "NO_NODE bound")]
+    fn arena_index_refuses_the_sentinel() {
+        arena_index(NO_NODE as usize);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "NO_NODE bound")]
+    fn arena_index_refuses_to_wrap() {
+        arena_index(1 << 32);
+    }
+
+    #[test]
+    fn footprint_counts_arena_and_maps() {
+        let mut p = Isb::new(1);
+        assert_eq!(p.footprint_bytes(), 0);
+        drive(&mut p, &[(1, 10), (1, 20), (2, 10), (1, 10)]);
+        // Four nodes, two PC tails, three distinct (PC, line) pairs.
+        let want = 4 * std::mem::size_of::<SeqNode>() + 2 * (8 + 4) + 3 * (16 + 4);
+        assert_eq!(p.footprint_bytes(), want);
     }
 
     #[test]

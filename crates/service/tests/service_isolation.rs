@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use domino_check::Generator;
-use domino_service::{BatchRequest, MetadataService, ServiceConfig};
+use domino_service::{BatchRequest, MetadataService, ServiceConfig, TenantSession};
 use domino_sim::engine::run_coverage_session;
 use domino_sim::roster::System;
 use domino_sim::SystemConfig;
@@ -225,24 +225,34 @@ fn pangloss_and_triangel_tenants_coexist_on_one_shard() {
     }
 }
 
-#[test]
-fn tenant_budget_resets_only_the_offender() {
+/// Runs four tenants of `system` under a tenant budget 256 bytes above
+/// the footprint of a fresh session (the fixed engine-model overhead):
+/// any system whose metadata grows with the stream trips it mid-run (a
+/// tenant here ends with 0.7–0.8 KB of metadata), while one that reports
+/// no metadata never would. One shard keeps all
+/// tenants adjacent to the offender; a reset must neither evict a
+/// tenant nor lose its stream position.
+fn assert_budget_resets_keep_positions(system: System) {
     const TENANTS: u64 = 4;
     let base = Generator::PointerChase.generate(0xB0D9, 400);
     let streams: Vec<Arc<[AccessEvent]>> = (0..TENANTS).map(|t| tenant_trace(&base, t)).collect();
-    // Stms grows its metadata with the stream, so a budget barely above
-    // the fixed engine-model overhead (~14 KiB) trips mid-run; one shard
-    // keeps all tenants adjacent to the offender.
-    let service = MetadataService::start(ServiceConfig {
+    let mut cfg = ServiceConfig {
         shards: 1,
         degree: DEGREE,
-        tenant_budget_bytes: 16 * 1024,
         ..ServiceConfig::default()
-    });
-    submit_interleaved(&service, System::Stms, &streams, 13);
+    };
+    let overhead = TenantSession::new(0, system, &cfg, 0).footprint();
+    cfg.tenant_budget_bytes = overhead + 256;
+    let service = MetadataService::start(cfg);
+    submit_interleaved(&service, system, &streams, 13);
     let result = service.shutdown();
     let resets: u64 = result.finals().map(|f| f.resets).sum();
-    assert!(resets > 0, "budget never tripped; lower it");
+    let batches: u64 = result.finals().map(|f| f.batches).sum();
+    assert!(resets > 0, "{system:?}: budget never tripped; lower it");
+    assert!(
+        resets < batches,
+        "{system:?}: every batch reset, so the budget sits below the overhead"
+    );
     for (t, _) in streams.iter().enumerate() {
         let fin = result.tenant(t as u64).expect("one final per tenant");
         assert!(!fin.evicted);
@@ -250,8 +260,22 @@ fn tenant_budget_resets_only_the_offender() {
         assert_eq!(
             fin.report.accesses,
             streams[t].len() as u64,
-            "tenant {t}: resets must not lose stream position"
+            "{system:?} tenant {t}: resets must not lose stream position"
         );
+    }
+}
+
+#[test]
+fn tenant_budget_resets_only_the_offender() {
+    assert_budget_resets_keep_positions(System::Stms);
+}
+
+/// Digram and Domino-Naive grow a history and pair-keyed index maps like
+/// Stms does, so the same budget must bound them.
+#[test]
+fn tenant_budget_bounds_digram_and_naive_domino() {
+    for system in [System::Digram, System::DominoNaive] {
+        assert_budget_resets_keep_positions(system);
     }
 }
 

@@ -153,6 +153,34 @@ if [ "${1:-}" != "--fast" ]; then
             --events 800 --out check-failures
     fi
 
+    mark bench-digests
+    echo "==> benchmark result digests (DOMINO_SKIP_CHECK=1 to skip)"
+    if [ "${DOMINO_SKIP_CHECK:-0}" = "1" ]; then
+        echo "    skipped (DOMINO_SKIP_CHECK=1)"
+    elif ! command -v python3 >/dev/null 2>&1; then
+        echo "    (python3 not found; skipping benchmark digests)"
+    else
+        # benchmark/expected.json records each workload's result digest
+        # at two seeds, so drift in simulated results fails here rather
+        # than at benchmark time. The tests build into run.py's default
+        # target directory, leaving benchmark/ untouched.
+        CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/.bench_build}" \
+            cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+        for workload in timing-sweep stream-coverage service-tenants; do
+            for seed in 42 20181; do
+                result=$(python3 benchmark/run.py --workload "$workload" --seed "$seed" \
+                    --seconds 1 --trace 0 | tail -n 1)
+                case "$result" in
+                    *'"correct": true'*) echo "    ok $workload seed $seed" ;;
+                    *)
+                        echo "    ERROR: $workload seed $seed: ${result:-no result}"
+                        exit 1
+                        ;;
+                esac
+            done
+        done
+    fi
+
     mark service-smoke
     echo "==> metadata service smoke (DOMINO_SKIP_SERVICE=1 to skip)"
     if [ "${DOMINO_SKIP_SERVICE:-0}" = "1" ]; then
