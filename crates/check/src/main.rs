@@ -247,7 +247,7 @@ fn run_campaign(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--batch-parity`: only the batched-vs-scalar oracle, run for every
+/// `--batch-parity`: only the batch-parity oracle, run for every
 /// generator x system at each checked batch size. The fast CI stage
 /// wired into `tools/check.sh`.
 fn run_batch_parity(opts: &Options) -> ExitCode {
@@ -278,7 +278,7 @@ fn run_batch_parity(opts: &Options) -> ExitCode {
             CHECKED_BATCHES
         );
     }
-    println!("batch parity clean: {done} system-traces, scalar and batched byte-identical");
+    println!("batch parity clean: {done} system-traces, byte-identical at every batch size");
     ExitCode::SUCCESS
 }
 

@@ -1,8 +1,8 @@
 //! The three oracle tiers.
 //!
-//! Tier 1 opens with the **batched-vs-scalar differential**: the SoA
-//! batched hot path must produce byte-for-byte the same coverage,
-//! timing, and multicore reports as the scalar per-event loop, at every
+//! Tier 1 opens with the **batch-parity differential**: each engine's
+//! one event loop must produce byte-for-byte the same coverage and
+//! timing reports in one-event steps as in larger ones, at every
 //! checked batch size and across warmup boundaries that do not divide
 //! the batch. Then the **cross-engine differential**: the
 //! coverage and timing engines evolve the L1, the prefetch buffer, and
@@ -69,7 +69,7 @@ use domino_sim::engine::{
     run_coverage, run_coverage_observed, run_coverage_session, run_coverage_streamed,
     run_coverage_streamed_session, run_coverage_with_batch,
 };
-use domino_sim::multicore::{run_multicore, run_multicore_with_batch};
+use domino_sim::multicore::run_multicore;
 use domino_sim::roster::System;
 use domino_sim::timing::{run_timing, run_timing_streamed, run_timing_with_batch};
 use domino_telemetry::trace::{TraceFile, TraceMeta};
@@ -133,19 +133,19 @@ macro_rules! ensure_eq {
     }};
 }
 
-/// Batch sizes the batched-vs-scalar oracle exercises: one that is not
+/// Batch sizes the batch-parity oracle exercises: one that is not
 /// a divisor of anything interesting (odd, smaller than most traces)
 /// and the production default.
 pub const CHECKED_BATCHES: [u32; 2] = [7, 64];
 
 /// Runs every oracle that involves a prefetching system on `trace`.
 ///
-/// The batched-vs-scalar tier runs first: it owns every batching bug by
+/// The batch-parity tier runs first: it owns every step-size bug by
 /// construction, so a chunking defect is always reported under its name
 /// even when downstream oracles (which run at the ambient batch size)
 /// would also trip over it.
 pub fn check_system_trace(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> {
-    batched_vs_scalar(sys, trace)?;
+    batch_parity(sys, trace)?;
     cross_engine(sys, trace)?;
     multicore_equivalence(sys, trace)?;
     invariant_audit(sys, trace)?;
@@ -171,88 +171,64 @@ pub fn check_trace(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> 
     check_reference_models(trace)
 }
 
-/// Tier 1: the batched SoA hot path vs the scalar per-event loop.
+/// Tier 1: each engine in one-event steps vs larger steps.
 ///
 /// Every report a figure can print must be *byte-for-byte* identical
-/// between `batch == 1` (the scalar loop) and any larger batch, so the
-/// comparison is on the full `Debug` rendering of each report — `f64`
-/// Debug is shortest-roundtrip and therefore injective, making string
-/// equality equivalent to bit equality of every field.
-fn batched_vs_scalar(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> {
+/// between `batch == 1` and any larger batch, so the comparison is on the
+/// full `Debug` rendering of each report — `f64` Debug is
+/// shortest-roundtrip and therefore injective, making string equality
+/// equivalent to bit equality of every field.
+fn batch_parity(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> {
     for batch in CHECKED_BATCHES {
         check_batched_parity(sys, trace, batch)?;
     }
     Ok(())
 }
 
-/// Compares scalar and `batch`-chunked runs of all three engines on
-/// `trace`. Public so `--replay` can rerun a reproducer under exactly
-/// the recorded batch size.
+/// Compares one-event and `batch`-event steps of the coverage and timing
+/// engines on `trace`. Public so `--replay` can rerun a reproducer under
+/// exactly the recorded batch size.
 pub fn check_batched_parity(
     sys: System,
     trace: &[AccessEvent],
     batch: u32,
 ) -> Result<(), Violation> {
-    const O: &str = "batched_vs_scalar";
+    const O: &str = "batch_parity";
     let cfg = SystemConfig::paper();
     let label = sys.label();
-    let mismatch = |engine: &str, warmup: usize, scalar: String, batched: String| Violation {
+    let mismatch = |engine: &str, warmup: usize, one: String, batched: String| Violation {
         oracle: O,
         detail: format!(
             "{label}: {engine} (warmup {warmup}) diverges at batch {batch}:\n\
-             scalar:  {scalar}\n\
+             batch 1: {one}\n\
              batched: {batched}"
         ),
         batch: Some(batch),
     };
     // Two warmups: none, and one that is deliberately not a batch
-    // multiple so the warmup-boundary chunk clamp is exercised.
+    // multiple so the warmup-boundary step clamp is exercised.
     for warmup in [0, trace.len() / 3] {
-        let mut p = sys.build(DEGREE);
-        let scalar = format!(
-            "{:?}",
-            run_coverage_with_batch(&cfg, trace, p.as_mut(), warmup, 1)
-        );
-        let mut p = sys.build(DEGREE);
-        let batched = format!(
-            "{:?}",
-            run_coverage_with_batch(&cfg, trace, p.as_mut(), warmup, batch)
-        );
-        if scalar != batched {
-            return Err(mismatch("coverage", warmup, scalar, batched));
-        }
-        let mut p = sys.build(DEGREE);
-        let scalar = format!(
-            "{:?}",
-            run_timing_with_batch(&cfg, trace, p.as_mut(), warmup, 1)
-        );
-        let mut p = sys.build(DEGREE);
-        let batched = format!(
-            "{:?}",
-            run_timing_with_batch(&cfg, trace, p.as_mut(), warmup, batch)
-        );
-        if scalar != batched {
-            return Err(mismatch("timing", warmup, scalar, batched));
-        }
-    }
-    // Multicore: two cores sharing the LLC, scalar vs per-core staged.
-    if !trace.is_empty() {
-        let cfg2 = SystemConfig {
-            cores: 2,
-            ..SystemConfig::paper()
+        let run = |b: u32| {
+            let mut p = sys.build(DEGREE);
+            format!(
+                "{:?}",
+                run_coverage_with_batch(&cfg, trace, p.as_mut(), warmup, b)
+            )
         };
-        let traces = vec![trace.to_vec(), trace.to_vec()];
-        let build = || vec![sys.build(DEGREE), sys.build(DEGREE)];
-        let scalar = format!(
-            "{:?}",
-            run_multicore_with_batch(&cfg2, traces.clone(), build(), 1)
-        );
-        let batched = format!(
-            "{:?}",
-            run_multicore_with_batch(&cfg2, traces, build(), batch)
-        );
-        if scalar != batched {
-            return Err(mismatch("multicore", 0, scalar, batched));
+        let (one, batched) = (run(1), run(batch));
+        if one != batched {
+            return Err(mismatch("coverage", warmup, one, batched));
+        }
+        let run = |b: u32| {
+            let mut p = sys.build(DEGREE);
+            format!(
+                "{:?}",
+                run_timing_with_batch(&cfg, trace, p.as_mut(), warmup, b)
+            )
+        };
+        let (one, batched) = (run(1), run(batch));
+        if one != batched {
+            return Err(mismatch("timing", warmup, one, batched));
         }
     }
     Ok(())
@@ -269,7 +245,7 @@ const STREAM_CHUNK_EVENTS: u32 = 37;
 /// Sequitur-compressed codec, across the checked batch sizes and a
 /// warmup that divides neither the batch nor the file chunk. Compares
 /// the decision digest (coverage) and the full `Debug` report rendering
-/// of both engines, like the batched-vs-scalar tier.
+/// of both engines, like the batch-parity tier.
 pub fn check_stream_parity(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> {
     const O: &str = "stream_parity";
     let cfg = SystemConfig::paper();
@@ -1420,7 +1396,7 @@ mod tests {
         // path) at a batch that does not divide the trace length.
         let trace = Generator::PointerChase.generate(3, 501);
         for sys in [System::Stms, System::Domino] {
-            check_batched_parity(sys, &trace, 7).expect("scalar and batched agree");
+            check_batched_parity(sys, &trace, 7).expect("batch 1 and batch 7 agree");
         }
     }
 }

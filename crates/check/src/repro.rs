@@ -49,7 +49,7 @@ pub struct Reproducer {
     pub seed: u64,
     /// Batch size the violation manifested under (`None` for
     /// batch-insensitive oracles and version-1 files). Replay reruns
-    /// the batched engines at exactly this chunking.
+    /// the engines at exactly this step size.
     pub batch: Option<u32>,
     /// The shrunk trace.
     pub events: Vec<AccessEvent>,

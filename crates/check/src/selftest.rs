@@ -1,6 +1,6 @@
 //! Proof that the oracles have teeth: known bugs, injected and caught.
 //!
-//! Nine mutations live in the production crates behind
+//! Eight mutations live in the production crates behind
 //! `#[cfg(domino_mutate)]`, each selected at runtime by the
 //! `DOMINO_MUTATE` environment variable. The self-test re-executes the
 //! current binary in `--smoke` mode once per mutation (plus one clean
@@ -26,7 +26,7 @@ pub struct Mutation {
 }
 
 /// Every injected mutation, with its catching oracle.
-pub const MUTATIONS: [Mutation; 9] = [
+pub const MUTATIONS: [Mutation; 8] = [
     Mutation {
         name: "eit_skip_promotion",
         oracle: "eit_model",
@@ -56,11 +56,6 @@ pub const MUTATIONS: [Mutation; 9] = [
         name: "timing_late_as_full",
         oracle: "cross_engine",
         what: "timing engine books late buffer hits as full misses",
-    },
-    Mutation {
-        name: "batch_stale_contains",
-        oracle: "batched_vs_scalar",
-        what: "batched L1 membership probes read stale chunk-end state",
     },
     Mutation {
         name: "pangloss_victim_tiebreak",
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn expected_oracles_are_known_names() {
         let known = [
-            "batched_vs_scalar",
+            "batch_parity",
             "cross_engine",
             "multicore_equivalence",
             "attribution_conservation",

@@ -208,11 +208,10 @@ impl SetAssocCache {
     /// [`SetAssocCache::insert`] of the same line. Returns
     /// `(hit, evicted_victim)`.
     ///
-    /// This is the batched engines' hot-path primitive: the scalar
-    /// engines always insert the demand line right after a miss and
-    /// never insert after a hit, so the second scan of `insert` (and,
-    /// for `Random` replacement, its RNG step on the hit path) is
-    /// provably dead and elided here.
+    /// This is every engine's L1 probe: the engines insert the demand
+    /// line right after a miss and never after a hit, so the second
+    /// scan of `insert` (and, for `Random` replacement, its RNG step on
+    /// the hit path) is provably dead and elided here.
     pub fn access_insert(&mut self, line: LineAddr) -> (bool, Option<LineAddr>) {
         let replacement = self.config.replacement;
         let ways = self.config.ways;
@@ -255,9 +254,9 @@ impl SetAssocCache {
     /// upcoming [`SetAssocCache::access`]/[`SetAssocCache::insert`].
     /// Purely a host-side prefetch of the simulator's own storage — it
     /// reads and writes no simulated state, so interleaving it anywhere
-    /// cannot change any simulation outcome. The batched engines use it
-    /// to overlap the host-memory latency of set lookups they can
-    /// predict (the slab of a large cache does not fit in the host's L1).
+    /// cannot change any simulation outcome. The timing engine uses it
+    /// to overlap the host-memory latency of set lookups it can predict
+    /// (the slab of a large cache does not fit in the host's L1).
     #[inline]
     pub fn prefetch_set(&self, line: LineAddr) {
         let base = self.set_index(line) * self.config.ways;

@@ -98,31 +98,33 @@ pub trait PrefetchSink {
 /// A batch of pending triggering events, resolved one at a time by the
 /// engine that owns it.
 ///
-/// This is the inversion at the heart of the batched hot path: instead
-/// of the engine calling [`Prefetcher::on_trigger`] once per event, the
-/// engine hands the prefetcher a whole batch and the *prefetcher* pulls
-/// triggers out of it. Between pulls the prefetcher can see the
-/// remaining triggers' `line`/`pc` lanes ([`TriggerBatch::pending_lines`]
-/// / [`TriggerBatch::pending_pcs`]) and warm its index structures with
-/// batched, branch-free probes — hash all lanes first, then probe — so
-/// metadata lookups pipeline instead of serializing behind each
-/// trigger's control flow.
+/// Instead of calling [`Prefetcher::on_trigger`] once per event, the
+/// coverage engine hands the prefetcher one step's worth of events and
+/// the *prefetcher* pulls triggers out of it, so the engine pays one
+/// dynamic call per step rather than per trigger.
 ///
 /// Protocol (the engine's [`TriggerBatch::next`] implements all of it):
 /// each `next` call **applies** the previous trigger's sink outputs to
 /// the engine (buffer fills, stream discards, metadata traffic), clears
 /// `sink`, and resolves the next triggering event; when the batch is
 /// exhausted it applies the final trigger's outputs and returns `None`.
-/// A [`Prefetcher::train_predict_batch`] implementation must therefore
-/// drain the batch: keep calling `next` (responding to each trigger via
-/// `sink`) until it returns `None`. Warming probes must not change any
-/// observable prefetcher state or counters — batched and scalar replays
-/// are required to be byte-identical.
+/// An engine may also return `None` early, between two triggers, when
+/// it needs the prefetcher back (an observed run snapshots the
+/// prefetcher's counters at epoch boundaries); it then starts a new
+/// batch for the rest of the step. A [`Prefetcher::train_predict_batch`]
+/// implementation must therefore drain the batch: keep calling `next`
+/// (responding to each trigger via `sink`) until it returns `None`.
 pub trait TriggerBatch {
-    /// Demand lines of the not-yet-resolved triggers, in replay order.
-    fn pending_lines(&self) -> &[LineAddr];
-    /// PCs of the not-yet-resolved triggers, in replay order.
-    fn pending_pcs(&self) -> &[Pc];
+    /// Demand lines of the not-yet-resolved triggers, in replay order,
+    /// where the engine knows them ahead of time. Default: none.
+    fn pending_lines(&self) -> &[LineAddr] {
+        &[]
+    }
+    /// PCs of the not-yet-resolved triggers, in replay order, where the
+    /// engine knows them ahead of time. Default: none.
+    fn pending_pcs(&self) -> &[Pc] {
+        &[]
+    }
     /// Applies the previous trigger's outputs, clears `sink`, and
     /// resolves the next triggering event (`None` when exhausted).
     fn next(&mut self, sink: &mut CollectSink) -> Option<TriggerEvent>;
@@ -146,15 +148,10 @@ pub trait Prefetcher: Send {
 
     /// Drains a [`TriggerBatch`], responding to each trigger.
     ///
-    /// The default is the scalar loop — pull each trigger and feed it to
-    /// [`Prefetcher::on_trigger`] — which is behaviour-identical to the
-    /// engine's one-event-at-a-time path by construction. Hot roster
-    /// systems override this to warm their index tables from the batch's
-    /// pending lanes before draining, hoisting hash-and-probe work out
-    /// of the per-trigger inner loop. Overrides must preserve exact
-    /// scalar behaviour: same triggers, same sink outputs, same counter
-    /// values (the `domino-check` batched-vs-scalar oracle enforces
-    /// this byte-for-byte).
+    /// Pulls each trigger and feeds it to [`Prefetcher::on_trigger`] —
+    /// behaviour-identical to one `on_trigger` call per event by
+    /// construction. Wrappers that forward it (timing or counting
+    /// adapters) must keep that behaviour.
     fn train_predict_batch(&mut self, batch: &mut dyn TriggerBatch, sink: &mut CollectSink) {
         while let Some(event) = batch.next(sink) {
             self.on_trigger(&event, sink);
@@ -306,12 +303,6 @@ mod tests {
             applied: usize,
         }
         impl TriggerBatch for ListBatch {
-            fn pending_lines(&self) -> &[LineAddr] {
-                &self.lines[self.cursor..]
-            }
-            fn pending_pcs(&self) -> &[Pc] {
-                &self.pcs[self.cursor..]
-            }
             fn next(&mut self, sink: &mut CollectSink) -> Option<TriggerEvent> {
                 if self.cursor > 0 {
                     self.applied += 1;

@@ -9,6 +9,10 @@
 //! exhaustive small-config pseudo-random op streams, asserting identical
 //! hit/miss results, eviction victims, invalidation outcomes, and
 //! counters at every step.
+//!
+//! The op streams include the fused demand probe
+//! [`SetAssocCache::access_insert`], every engine's only L1 path, held
+//! to the reference's `access` plus insert-on-miss.
 
 use domino_check::reference::ReferenceCache;
 use domino_mem::cache::{CacheConfig, Replacement, SetAssocCache};
@@ -32,14 +36,23 @@ fn drive(config: CacheConfig, ops: usize, seed: u64) {
             config.replacement,
             config.ways
         );
-        match rng % 10 {
-            0..=3 => {
+        match rng % 13 {
+            0..=2 => {
                 assert_eq!(flat.access(line), reference.access(line), "access: {ctx}");
             }
-            4..=7 => {
+            3..=5 => {
                 assert_eq!(flat.insert(line), reference.insert(line), "insert: {ctx}");
             }
-            8 => {
+            6..=9 => {
+                let hit = reference.access(line);
+                let victim = if hit { None } else { reference.insert(line) };
+                assert_eq!(
+                    flat.access_insert(line),
+                    (hit, victim),
+                    "access_insert: {ctx}"
+                );
+            }
+            10 => {
                 assert_eq!(
                     flat.invalidate(line),
                     reference.invalidate(line),

@@ -18,9 +18,7 @@
 //! what it costs (reach bounded by the slab, junction fan-out bounded by
 //! the per-entry edge budget).
 
-use domino_mem::interface::{
-    CollectSink, PrefetchRequest, PrefetchSink, Prefetcher, TriggerBatch, TriggerEvent,
-};
+use domino_mem::interface::{PrefetchRequest, PrefetchSink, Prefetcher, TriggerEvent};
 use domino_trace::addr::LineAddr;
 use domino_trace::FxHashMap;
 
@@ -349,30 +347,12 @@ impl Prefetcher for Pangloss {
         }
         self.predict(line, sink);
     }
-
-    fn train_predict_batch(&mut self, batch: &mut dyn TriggerBatch, sink: &mut CollectSink) {
-        // Hash-then-probe: touch every pending line's set before the
-        // serial drain walks them one by one. Probes are read-only, so
-        // the drain is bit-identical to the scalar path.
-        let mut warm = 0usize;
-        for &line in batch.pending_lines() {
-            if self.table[self.ways_of(line)]
-                .iter()
-                .any(|e| e.valid && e.tag == line)
-            {
-                warm += 1;
-            }
-        }
-        std::hint::black_box(warm);
-        while let Some(event) = batch.next(sink) {
-            self.on_trigger(&event, sink);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use domino_mem::interface::CollectSink;
     use domino_trace::addr::Pc;
 
     fn tiny() -> PanglossConfig {

@@ -21,9 +21,7 @@
 use domino_trace::FxHashMap;
 
 use domino_mem::history::{HistoryTable, ROW_ENTRIES};
-use domino_mem::interface::{
-    CollectSink, PrefetchSink, Prefetcher, TriggerBatch, TriggerEvent, TriggerKind,
-};
+use domino_mem::interface::{PrefetchSink, Prefetcher, TriggerEvent, TriggerKind};
 use domino_mem::metadata::UpdateSampler;
 use domino_trace::addr::LineAddr;
 
@@ -189,23 +187,6 @@ impl Prefetcher for Stms {
                     self.update_index(line, pos, sink);
                 }
             }
-        }
-    }
-
-    fn train_predict_batch(&mut self, batch: &mut dyn TriggerBatch, sink: &mut CollectSink) {
-        // Hash-then-probe: one read-only pass over the chunk's trigger
-        // lines touches their Index Table buckets before the serial drain
-        // dereferences them one by one. Probes do not mutate the index,
-        // so the drain below is bit-identical to the default path.
-        let mut warm = 0usize;
-        for &line in batch.pending_lines() {
-            if self.index.contains_key(&line) {
-                warm += 1;
-            }
-        }
-        std::hint::black_box(warm);
-        while let Some(event) = batch.next(sink) {
-            self.on_trigger(&event, sink);
         }
     }
 }

@@ -25,9 +25,7 @@
 //! what it costs (cold PCs must prove themselves before they get any
 //! coverage at all).
 
-use domino_mem::interface::{
-    CollectSink, PrefetchRequest, PrefetchSink, Prefetcher, TriggerBatch, TriggerEvent, TriggerKind,
-};
+use domino_mem::interface::{PrefetchRequest, PrefetchSink, Prefetcher, TriggerEvent, TriggerKind};
 use domino_trace::addr::{LineAddr, Pc};
 use domino_trace::FxHashMap;
 
@@ -471,27 +469,12 @@ impl Prefetcher for Triangel {
             self.predict(line, depth, sink);
         }
     }
-
-    fn train_predict_batch(&mut self, batch: &mut dyn TriggerBatch, sink: &mut CollectSink) {
-        // Hash-then-probe: touch every pending line's history set before
-        // the serial drain. Probes are read-only, so the drain is
-        // bit-identical to the scalar path.
-        let mut warm = 0usize;
-        for &line in batch.pending_lines() {
-            if self.lookup(line).is_some() {
-                warm += 1;
-            }
-        }
-        std::hint::black_box(warm);
-        while let Some(event) = batch.next(sink) {
-            self.on_trigger(&event, sink);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use domino_mem::interface::CollectSink;
 
     /// Tiny deterministic config: samples everything, trains after one
     /// reuse, deepens after one timely reuse.

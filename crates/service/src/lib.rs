@@ -13,9 +13,8 @@
 //!   prefetcher plus an incremental
 //!   [`domino_sim::CoverageSession`], so a tenant's stream replayed in
 //!   request-batch increments produces decisions **bit-identical** to a
-//!   single-tenant `sim` run of the same stream (the batched-parity
-//!   invariant from the coverage engine makes chunk boundaries
-//!   irrelevant).
+//!   single-tenant `sim` run of the same stream (the coverage engine's
+//!   partition invariance makes chunk boundaries irrelevant).
 //! * [`shard`] — shard-per-thread state: each worker owns the sessions
 //!   of the tenants hashed to it, so no lock ever guards metadata.
 //!   Enforces the memory-pressure policy: per-tenant budgets reset a

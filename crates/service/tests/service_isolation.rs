@@ -8,7 +8,7 @@
 //! a disjoint line region per tenant. Identical PCs and identical
 //! relative patterns maximize the chance that any shared state — a
 //! stray global table, a shard mixing sessions, an engine pool leaking
-//! staged lanes — manifests as one tenant's lines appearing in another
+//! cache state — manifests as one tenant's lines appearing in another
 //! tenant's metadata or decisions.
 
 use std::sync::Arc;

@@ -15,15 +15,14 @@
 //! same run.
 
 use domino_mem::cache::SetAssocCache;
-use domino_mem::interface::{CollectSink, Prefetcher, TriggerBatch, TriggerEvent};
+use domino_mem::interface::{CollectSink, PrefetchRequest, Prefetcher, TriggerBatch, TriggerEvent};
 use domino_mem::prefetch_buffer::{InsertOutcome, PrefetchBuffer};
 use domino_sequitur::Histogram;
-use domino_telemetry::{CounterSink, Telemetry, DISTANCE_BOUNDS};
-use domino_trace::addr::{LineAddr, Pc, LINE_BYTES};
+use domino_telemetry::{CounterSink, FlightRecorder, HistId, Telemetry, DISTANCE_BOUNDS};
+use domino_trace::addr::LINE_BYTES;
 use domino_trace::event::AccessEvent;
 use domino_trace::stream::{EventSource, TraceFileError};
 
-use crate::batch::{L1Lanes, TriggerLanes};
 use crate::config::SystemConfig;
 use crate::scratch;
 
@@ -180,18 +179,17 @@ fn emit_coverage_row(
     prefetcher.emit_counters(row);
 }
 
-/// [`run_coverage_warmed`] with a telemetry handle: every access ticks
-/// the epoch clock, every epoch boundary snapshots the cumulative
-/// counters (engine metrics, L1, buffer, and the prefetcher's own
-/// counters), and covered misses record their prefetch-to-use distance
-/// in demand accesses. With a disabled handle this is exactly
-/// [`run_coverage_warmed`] — one dead branch per access.
+/// [`run_coverage_warmed`] with a telemetry handle: every L1 miss ticks
+/// the epoch clock (L1 hits never reach the prefetcher and do not
+/// count), every epoch boundary snapshots the cumulative counters
+/// (engine metrics, L1, buffer, and the prefetcher's own counters) as of
+/// the miss that closed it, and covered misses record their
+/// prefetch-to-use distance in demand accesses. An attached flight
+/// recorder logs every trigger's decisions.
 ///
-/// Unobserved runs take the batched structure-of-arrays hot path when
-/// the effective [`crate::observe::batch_size`] is greater than one;
-/// observed runs (epoch telemetry or flight recorder) always take the
-/// scalar path, whose per-event hooks the observation machinery needs.
-/// Both paths produce byte-identical reports.
+/// Observed and unobserved runs take the same loop, in steps of the
+/// effective [`crate::observe::batch_size`]; with a disabled handle this
+/// is exactly [`run_coverage_warmed`].
 pub fn run_coverage_observed(
     system: &SystemConfig,
     trace: &[AccessEvent],
@@ -200,16 +198,12 @@ pub fn run_coverage_observed(
     tel: &mut Telemetry,
 ) -> CoverageReport {
     let batch = crate::observe::batch_size();
-    if batch > 1 && !tel.is_on() && !tel.has_tracer() {
-        run_coverage_batched(system, trace, prefetcher, warmup, batch as usize)
-    } else {
-        run_coverage_scalar(system, trace, prefetcher, warmup, tel)
-    }
+    run_coverage_stepped(system, trace, prefetcher, warmup, batch, tel)
 }
 
-/// [`run_coverage`] at an explicit batch size, ignoring the process-wide
-/// knob — the entry point for batched-vs-scalar differential checks
-/// (`batch = 1` forces the scalar loop).
+/// [`run_coverage_warmed`] in steps of `batch` events, ignoring the
+/// process-wide knob. Reports are byte-identical at every step size; the
+/// `domino-check` batch-parity oracle compares batch 1 with larger ones.
 pub fn run_coverage_with_batch(
     system: &SystemConfig,
     trace: &[AccessEvent],
@@ -217,184 +211,51 @@ pub fn run_coverage_with_batch(
     warmup: usize,
     batch: u32,
 ) -> CoverageReport {
-    if batch > 1 {
-        run_coverage_batched(system, trace, prefetcher, warmup, batch as usize)
-    } else {
-        run_coverage_scalar(system, trace, prefetcher, warmup, &mut Telemetry::off())
-    }
+    run_coverage_stepped(
+        system,
+        trace,
+        prefetcher,
+        warmup,
+        batch,
+        &mut Telemetry::off(),
+    )
 }
 
-/// The scalar one-event-at-a-time loop (and the only loop that supports
-/// telemetry and tracing).
-fn run_coverage_scalar(
+/// One [`CoverageSession`] over a cached trace in `batch`-event steps,
+/// with `tel` lent to the session for the run.
+fn run_coverage_stepped(
     system: &SystemConfig,
     trace: &[AccessEvent],
     prefetcher: &mut dyn Prefetcher,
     warmup: usize,
+    batch: u32,
     tel: &mut Telemetry,
 ) -> CoverageReport {
-    let dist_hist = tel.register_histogram("prefetch_to_use_distance", DISTANCE_BOUNDS);
-    let mut l1 = scratch::cache(system.l1d);
-    let mut buffer = scratch::buffer(system.prefetch_buffer_blocks);
-    let mut sink = scratch::sink();
+    let owned = std::mem::take(tel);
+    let mut session = CoverageSession::observed(system, prefetcher.name(), warmup, owned);
     prefetcher.reserve(trace.len());
-    let mut report = CoverageReport {
-        name: prefetcher.name().to_string(),
-        accesses: 0,
-        l1_hits: 0,
-        baseline_misses: 0,
-        covered: 0,
-        read_misses: 0,
-        read_covered: 0,
-        prefetches_issued: 0,
-        overpredictions: 0,
-        meta_read_blocks: 0,
-        meta_write_blocks: 0,
-        stream_lengths: Histogram::fig12(),
-        first_prefetch_trips: 0,
-        first_prefetch_count: 0,
-    };
-    let mut run = 0u64;
-    // Buffer statistics at the measurement boundary, subtracted from the
-    // final counts so warmup overpredictions are not charged.
-    let mut warmup_overpredictions = 0u64;
-    let mut measuring = warmup == 0;
-    for (i, &ev) in trace.iter().enumerate() {
-        if !measuring && i >= warmup {
-            measuring = true;
-            warmup_overpredictions = buffer.stats().overpredictions();
-        }
-        if measuring {
-            report.accesses += 1;
-        }
-        let line = ev.line();
-        if l1.access(line) {
-            if measuring {
-                report.l1_hits += 1;
-            }
-            continue;
-        }
-        // The coverage engine never uses arrival times, so `ready_at`
-        // carries the inserting access's index instead — the difference
-        // on a hit is the prefetch-to-use distance in demand accesses.
-        let taken = buffer.take(line);
-        if let Some(entry) = taken {
-            let distance = (i as f64 - entry.ready_at).max(0.0) as u64;
-            tel.record(dist_hist, distance);
-            if let Some(rec) = tel.tracer() {
-                rec.demand_hit(i as u64, line.raw(), entry.stream, distance);
-            }
-        } else if tel.has_tracer() {
-            // Probe the metadata before this event trains on the miss, so
-            // the mispredicted / no-metadata split reflects what the
-            // prefetcher knew when it failed to cover the line.
-            let knows = prefetcher.knows_line(line);
-            if let Some(rec) = tel.tracer() {
-                rec.demand_miss(i as u64, line.raw(), knows);
-            }
-        }
-        let covered = taken.is_some();
-        if measuring {
-            report.baseline_misses += 1;
-            if ev.kind.is_read() {
-                report.read_misses += 1;
-            }
-            if covered {
-                report.covered += 1;
-                if ev.kind.is_read() {
-                    report.read_covered += 1;
-                }
-                run += 1;
-            } else if run > 0 {
-                report.stream_lengths.record(run);
-                run = 0;
-            }
-        }
-        let trigger = if covered {
-            TriggerEvent::prefetch_hit(ev.pc, line)
-        } else {
-            TriggerEvent::miss(ev.pc, line)
-        };
-        l1.insert(line);
-        sink.clear();
-        prefetcher.on_trigger(&trigger, &mut *sink);
-        match tel.tracer() {
-            Some(rec) => {
-                if sink.meta_read_blocks > 0 {
-                    // The coverage engine is un-timed: the lookup begins
-                    // and ends at the same access index.
-                    rec.meta_start(i as u64, sink.meta_read_blocks);
-                    rec.meta_end(i as u64, 0);
-                }
-                for &tag in &sink.replaced {
-                    rec.eit_replace(i as u64, tag.raw());
-                }
-                for &stream in &sink.discarded_streams {
-                    buffer.discard_stream_with(stream, |e| {
-                        rec.evict_unused(i as u64, e.line.raw(), e.stream);
-                    });
-                }
-            }
-            None => {
-                for &stream in &sink.discarded_streams {
-                    buffer.discard_stream(stream);
-                }
-            }
-        }
-        let mut first_of_event = true;
-        for req in &sink.requests {
-            if measuring {
-                report.prefetches_issued += 1;
-                if first_of_event && req.delay_trips > 0 {
-                    // A request needing metadata trips in this event opens
-                    // or re-points a stream; track its timeliness.
-                    report.first_prefetch_trips += u64::from(req.delay_trips);
-                    report.first_prefetch_count += 1;
-                    first_of_event = false;
-                }
-            }
-            if let Some(rec) = tel.tracer() {
-                rec.issue(i as u64, req.line.raw(), req.stream, req.delay_trips);
-            }
-            if !l1.contains(req.line) {
-                let outcome = buffer.insert(req.line, i as f64, req.stream);
-                if let Some(rec) = tel.tracer() {
-                    match outcome {
-                        InsertOutcome::Inserted => {
-                            rec.fill(i as u64, req.line.raw(), req.stream, i as u64);
-                        }
-                        InsertOutcome::Duplicate => {
-                            rec.drop_unbuffered(i as u64, req.line.raw(), req.stream, 1);
-                        }
-                        InsertOutcome::Evicted(victim) => {
-                            rec.evict_unused(i as u64, victim.line.raw(), victim.stream);
-                            rec.fill(i as u64, req.line.raw(), req.stream, i as u64);
-                        }
-                    }
-                }
-            } else if let Some(rec) = tel.tracer() {
-                // Already in the L1: the engine drops the request.
-                rec.drop_unbuffered(i as u64, req.line.raw(), req.stream, 2);
-            }
-        }
-        if measuring {
-            report.meta_read_blocks += sink.meta_read_blocks;
-            report.meta_write_blocks += sink.meta_write_blocks;
-        }
-        if tel.tick() {
-            tel.snapshot(|row| emit_coverage_row(row, &report, &l1, &buffer, &*prefetcher));
+    session.feed_steps(prefetcher, trace, batch as usize);
+    session.finish_observed(prefetcher, tel)
+}
+
+/// Logs one prefetch-buffer insert to the flight recorder: a fill, a
+/// duplicate drop, or an unused victim's eviction plus the fill. `ready`
+/// is the fill's arrival stamp. Shared by both engines.
+pub(crate) fn record_insert(
+    rec: &mut FlightRecorder,
+    time: u64,
+    req: &PrefetchRequest,
+    outcome: InsertOutcome,
+    ready: u64,
+) {
+    match outcome {
+        InsertOutcome::Inserted => rec.fill(time, req.line.raw(), req.stream, ready),
+        InsertOutcome::Duplicate => rec.drop_unbuffered(time, req.line.raw(), req.stream, 1),
+        InsertOutcome::Evicted(victim) => {
+            rec.evict_unused(time, victim.line.raw(), victim.stream);
+            rec.fill(time, req.line.raw(), req.stream, ready);
         }
     }
-    tel.flush(|row| emit_coverage_row(row, &report, &l1, &buffer, &*prefetcher));
-    if run > 0 {
-        report.stream_lengths.record(run);
-    }
-    let stats = buffer.stats();
-    // Everything still sitting in the buffer at the end was never used;
-    // warmup-era overpredictions are excluded.
-    report.overpredictions =
-        (stats.overpredictions() - warmup_overpredictions) + buffer.len() as u64;
-    report
 }
 
 /// FNV-1a fold step for the decision digest.
@@ -405,35 +266,123 @@ fn fold(h: &mut u64, v: u64) {
 /// FNV-1a offset basis — the digest's starting value.
 const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The coverage engine's [`TriggerBatch`]: one staged chunk's compacted
-/// triggering events (L1 misses only — hits never reach the prefetcher),
-/// resolved against the prefetch buffer one pull at a time.
+/// Why a [`CoverageDriver`] ended a drain. The prefetcher is mutably
+/// borrowed while it drains the driver, so whatever needs the prefetcher
+/// itself happens in the session, between two drains of the same step.
+#[derive(Debug, Clone, Copy)]
+enum Pause {
+    /// Every event of the step was walked and every trigger applied.
+    Drained,
+    /// The trigger just applied closed a telemetry epoch: snapshot the
+    /// counters, the prefetcher's included, before walking on.
+    Epoch,
+    /// The walk reached an uncovered miss (absolute index, trigger)
+    /// with a flight recorder attached: probe
+    /// [`Prefetcher::knows_line`] before the miss trains the prefetcher.
+    Probe(u64, TriggerEvent),
+}
+
+/// The coverage engine's [`TriggerBatch`]: walks one step's events
+/// against the live L1 and hands each miss to the prefetcher as a
+/// triggering event, resolved against the prefetch buffer — the paper's
+/// per-event pipeline (§IV-C), one pull at a time.
 struct CoverageDriver<'a> {
-    l1: &'a SetAssocCache,
-    lanes: &'a L1Lanes,
+    l1: &'a mut SetAssocCache,
     buffer: &'a mut PrefetchBuffer,
     report: &'a mut CoverageReport,
     run: &'a mut u64,
-    measuring: bool,
-    /// Absolute trace indices of the chunk's triggering events.
-    idx: &'a [u32],
-    /// Demand lines, PCs, and read flags, parallel to `idx`.
-    lines: &'a [LineAddr],
-    pcs: &'a [Pc],
-    reads: &'a [bool],
-    cursor: usize,
+    tel: &'a mut Telemetry,
+    dist_hist: HistId,
     /// When present, every metadata decision — trigger kinds, issued
     /// prefetches, stream discards, replacement victims, metadata
     /// traffic — folds into this FNV accumulator in replay order.
     digest: Option<&'a mut u64>,
+    measuring: bool,
+    /// The step's events; `base` is the absolute trace index of
+    /// `events[0]`.
+    events: &'a [AccessEvent],
+    base: u64,
+    /// Next event to walk.
+    pos: usize,
+    /// A probed trigger to hand out before walking on.
+    resume: Option<(u64, TriggerEvent)>,
+    /// Absolute index of the trigger whose outputs the next `next` call
+    /// applies.
+    pending: Option<u64>,
+    /// Set when `next` returns `None`.
+    pause: Option<Pause>,
 }
 
 impl CoverageDriver<'_> {
-    /// Applies trigger `k`'s sink outputs: stream discards, buffer
-    /// fills gated on as-of-event-`k` L1 membership, and metadata
-    /// traffic — the exact tail of the scalar event loop.
-    fn apply(&mut self, k: usize, sink: &CollectSink) {
-        let i = self.idx[k];
+    /// Walks the L1 up to the next miss, resolves it against the prefetch
+    /// buffer, and returns its trigger; pauses at the end of the step or
+    /// before an uncovered miss the flight recorder must probe.
+    fn walk(&mut self) -> Option<TriggerEvent> {
+        let measured = u64::from(self.measuring);
+        while let Some(ev) = self.events.get(self.pos) {
+            let i = self.base + self.pos as u64;
+            self.pos += 1;
+            self.report.accesses += measured;
+            let line = ev.line();
+            if self.l1.access_insert(line).0 {
+                self.report.l1_hits += measured;
+                continue;
+            }
+            let taken = self.buffer.take(line);
+            let covered = taken.is_some();
+            if self.measuring {
+                let read = u64::from(ev.kind.is_read());
+                self.report.baseline_misses += 1;
+                self.report.read_misses += read;
+                if covered {
+                    self.report.covered += 1;
+                    self.report.read_covered += read;
+                    *self.run += 1;
+                } else if *self.run > 0 {
+                    self.report.stream_lengths.record(*self.run);
+                    *self.run = 0;
+                }
+            }
+            if let Some(h) = self.digest.as_deref_mut() {
+                fold(h, u64::from(covered));
+                fold(h, ev.pc.raw());
+                fold(h, line.raw());
+            }
+            let trigger = if covered {
+                TriggerEvent::prefetch_hit(ev.pc, line)
+            } else {
+                TriggerEvent::miss(ev.pc, line)
+            };
+            match taken {
+                Some(entry) => {
+                    // The coverage engine never uses arrival times, so
+                    // `ready_at` carries the inserting access's index
+                    // instead: the difference is the prefetch-to-use
+                    // distance in demand accesses.
+                    let distance = (i as f64 - entry.ready_at).max(0.0) as u64;
+                    self.tel.record(self.dist_hist, distance);
+                    if let Some(rec) = self.tel.tracer() {
+                        rec.demand_hit(i, line.raw(), entry.stream, distance);
+                    }
+                }
+                None if self.tel.has_tracer() => {
+                    self.pause = Some(Pause::Probe(i, trigger));
+                    return None;
+                }
+                None => {}
+            }
+            self.pending = Some(i);
+            return Some(trigger);
+        }
+        self.pause = Some(Pause::Drained);
+        None
+    }
+
+    /// Applies trigger `i`'s sink outputs: stream discards, buffer fills
+    /// gated on the live L1 (which holds exactly the state after event
+    /// `i`'s demand fill), and metadata traffic — logging each to the
+    /// flight recorder in pipeline order.
+    fn apply(&mut self, i: u64, sink: &CollectSink) {
         if let Some(h) = self.digest.as_deref_mut() {
             for &stream in &sink.discarded_streams {
                 fold(h, 0x10);
@@ -452,21 +401,55 @@ impl CoverageDriver<'_> {
             fold(h, sink.meta_read_blocks);
             fold(h, sink.meta_write_blocks);
         }
+        let mut rec = self.tel.tracer();
+        if let Some(rec) = rec.as_deref_mut() {
+            if sink.meta_read_blocks > 0 {
+                // The coverage engine is un-timed: the lookup begins and
+                // ends at the same access index.
+                rec.meta_start(i, sink.meta_read_blocks);
+                rec.meta_end(i, 0);
+            }
+            for &tag in &sink.replaced {
+                rec.eit_replace(i, tag.raw());
+            }
+        }
         for &stream in &sink.discarded_streams {
-            self.buffer.discard_stream(stream);
+            match rec.as_deref_mut() {
+                Some(rec) => {
+                    self.buffer.discard_stream_with(stream, |e| {
+                        rec.evict_unused(i, e.line.raw(), e.stream);
+                    });
+                }
+                None => {
+                    self.buffer.discard_stream(stream);
+                }
+            }
         }
         let mut first_of_event = true;
         for req in &sink.requests {
             if self.measuring {
                 self.report.prefetches_issued += 1;
                 if first_of_event && req.delay_trips > 0 {
+                    // A request needing metadata trips in this event opens
+                    // or re-points a stream; track its timeliness.
                     self.report.first_prefetch_trips += u64::from(req.delay_trips);
                     self.report.first_prefetch_count += 1;
                     first_of_event = false;
                 }
             }
-            if !self.lanes.contains_at(self.l1, i, req.line) {
-                self.buffer.insert(req.line, f64::from(i), req.stream);
+            if let Some(rec) = rec.as_deref_mut() {
+                rec.issue(i, req.line.raw(), req.stream, req.delay_trips);
+            }
+            if self.l1.contains(req.line) {
+                // Already in the L1: the engine drops the request.
+                if let Some(rec) = rec.as_deref_mut() {
+                    rec.drop_unbuffered(i, req.line.raw(), req.stream, 2);
+                }
+                continue;
+            }
+            let outcome = self.buffer.insert(req.line, i as f64, req.stream);
+            if let Some(rec) = rec.as_deref_mut() {
+                record_insert(rec, i, req, outcome, i);
             }
         }
         if self.measuring {
@@ -477,79 +460,52 @@ impl CoverageDriver<'_> {
 }
 
 impl TriggerBatch for CoverageDriver<'_> {
-    fn pending_lines(&self) -> &[LineAddr] {
-        &self.lines[self.cursor..]
-    }
-
-    fn pending_pcs(&self) -> &[Pc] {
-        &self.pcs[self.cursor..]
-    }
-
     fn next(&mut self, sink: &mut CollectSink) -> Option<TriggerEvent> {
-        if self.cursor > 0 {
-            self.apply(self.cursor - 1, sink);
+        if let Some(i) = self.pending.take() {
+            self.apply(i, sink);
+            if self.tel.tick() {
+                sink.clear();
+                self.pause = Some(Pause::Epoch);
+                return None;
+            }
         }
         sink.clear();
-        if self.cursor == self.idx.len() {
-            return None;
+        if let Some((i, trigger)) = self.resume.take() {
+            self.pending = Some(i);
+            return Some(trigger);
         }
-        let k = self.cursor;
-        self.cursor += 1;
-        let line = self.lines[k];
-        let covered = self.buffer.take(line).is_some();
-        if self.measuring {
-            self.report.baseline_misses += 1;
-            if self.reads[k] {
-                self.report.read_misses += 1;
-            }
-            if covered {
-                self.report.covered += 1;
-                if self.reads[k] {
-                    self.report.read_covered += 1;
-                }
-                *self.run += 1;
-            } else if *self.run > 0 {
-                self.report.stream_lengths.record(*self.run);
-                *self.run = 0;
-            }
-        }
-        if let Some(h) = self.digest.as_deref_mut() {
-            fold(h, u64::from(covered));
-            fold(h, self.pcs[k].raw());
-            fold(h, line.raw());
-        }
-        Some(if covered {
-            TriggerEvent::prefetch_hit(self.pcs[k], line)
-        } else {
-            TriggerEvent::miss(self.pcs[k], line)
-        })
+        self.walk()
     }
 }
 
-/// An incremental coverage run: the batched structure-of-arrays engine
-/// ([`L1Lanes::stage_coverage`] pre-pass, [`CoverageDriver`] replay,
-/// [`Prefetcher::train_predict_batch`]) packaged as a resumable session
-/// that accepts the trace in arbitrary increments.
+/// An incremental coverage run, and the coverage engine's one event
+/// loop. Each step walks its events against the live L1 (the fused
+/// [`SetAssocCache::access_insert`]), resolves every miss against the
+/// prefetch buffer, and hands the misses to the prefetcher through one
+/// [`Prefetcher::train_predict_batch`] call. Observed runs
+/// ([`run_coverage_observed`]) take the same loop; a step only returns
+/// to the session between two triggers when observation needs the
+/// prefetcher itself: an epoch snapshot reads its counters, and the
+/// flight recorder probes [`Prefetcher::knows_line`] before an uncovered
+/// miss trains it.
 ///
 /// Any partition of the trace into [`CoverageSession::step`] calls
-/// produces a report byte-identical to the scalar engine — the same
-/// property the `domino-check` batched-vs-scalar oracle enforces for
-/// [`run_coverage_with_batch`] — so callers that receive a stream in
-/// pieces (the `domino-service` metadata service feeds one session per
-/// tenant, one request batch at a time) never need to align their chunk
-/// boundaries with anything.
+/// produces byte-identical reports, decision digests, telemetry and
+/// traces — the `domino-check` batch-parity oracle compares batch 1 with
+/// larger steps — so callers that receive a stream in pieces (the
+/// `domino-service` metadata service feeds one session per tenant, one
+/// request batch at a time) never need to align their chunk boundaries
+/// with anything.
 ///
 /// The session carries the per-run engine state (L1 model, prefetch
-/// buffer, staging lanes) but **not** the prefetcher, which is passed to
-/// every `step`; the prefetcher is owned by the caller so it can be
-/// probed ([`Prefetcher::knows_line`]) or sized
+/// buffer) but **not** the prefetcher, which is passed to every `step`;
+/// the prefetcher is owned by the caller so it can be probed
+/// ([`Prefetcher::knows_line`]) or sized
 /// ([`Prefetcher::footprint_bytes`]) between steps.
 pub struct CoverageSession {
     l1: scratch::Pooled<SetAssocCache>,
     buffer: scratch::Pooled<PrefetchBuffer>,
     sink: scratch::Pooled<CollectSink>,
-    lanes: L1Lanes,
-    trig: TriggerLanes,
     report: CoverageReport,
     run: u64,
     warmup: usize,
@@ -559,6 +515,10 @@ pub struct CoverageSession {
     seen: usize,
     /// Decision digest accumulator ([`CoverageSession::enable_digest`]).
     digest: Option<u64>,
+    /// Epoch telemetry and flight recorder; off unless the session was
+    /// opened by [`run_coverage_observed`].
+    tel: Telemetry,
+    dist_hist: HistId,
 }
 
 impl CoverageSession {
@@ -566,12 +526,16 @@ impl CoverageSession {
     /// first `warmup` accesses excluded from metrics as in
     /// [`run_coverage_warmed`].
     pub fn new(system: &SystemConfig, name: &str, warmup: usize) -> Self {
+        CoverageSession::observed(system, name, warmup, Telemetry::off())
+    }
+
+    /// [`CoverageSession::new`] observed through `tel`.
+    fn observed(system: &SystemConfig, name: &str, warmup: usize, mut tel: Telemetry) -> Self {
+        let dist_hist = tel.register_histogram("prefetch_to_use_distance", DISTANCE_BOUNDS);
         CoverageSession {
             l1: scratch::cache(system.l1d),
             buffer: scratch::buffer(system.prefetch_buffer_blocks),
             sink: scratch::sink(),
-            lanes: L1Lanes::new(),
-            trig: TriggerLanes::new(),
             report: CoverageReport {
                 name: name.to_string(),
                 accesses: 0,
@@ -593,6 +557,8 @@ impl CoverageSession {
             warmup_overpredictions: 0,
             seen: 0,
             digest: None,
+            tel,
+            dist_hist,
         }
     }
 
@@ -643,9 +609,7 @@ impl CoverageSession {
         self.seen = index;
     }
 
-    /// Processes `trace[processed()..end]` as staged chunks, splitting at
-    /// the warmup boundary so `measuring` stays constant within a chunk
-    /// (the scalar loop flips mid-stream).
+    /// Processes `trace[processed()..end]` as one step.
     pub fn step(&mut self, prefetcher: &mut dyn Prefetcher, trace: &[AccessEvent], end: usize) {
         let n = end.min(trace.len());
         if self.seen < n {
@@ -655,7 +619,8 @@ impl CoverageSession {
 
     /// Processes one streamed chunk whose first event sits at the
     /// session's current absolute position ([`CoverageSession::processed`]),
-    /// splitting at the warmup boundary. This is the out-of-core twin of
+    /// splitting it at the warmup boundary so `measuring` stays constant
+    /// within a step. This is the out-of-core twin of
     /// [`CoverageSession::step`]: the chunk need not be a window into any
     /// materialized trace, and because the session is partition-invariant
     /// the result is byte-identical to a cached-slice run over the same
@@ -668,51 +633,78 @@ impl CoverageSession {
             if s < self.warmup && s + len > self.warmup {
                 len = self.warmup - s;
             }
-            self.feed_chunk(prefetcher, &chunk[off..off + len], s);
+            self.feed_step(prefetcher, &chunk[off..off + len], s);
             off += len;
             self.seen = s + len;
         }
     }
 
-    /// One staged chunk whose first event is absolute index `s`;
-    /// `measuring` is constant across it.
-    fn feed_chunk(&mut self, prefetcher: &mut dyn Prefetcher, chunk: &[AccessEvent], s: usize) {
+    /// Feeds `events` in steps of `batch` events (at least one).
+    fn feed_steps(
+        &mut self,
+        prefetcher: &mut dyn Prefetcher,
+        events: &[AccessEvent],
+        batch: usize,
+    ) {
+        for step in events.chunks(batch.max(1)) {
+            self.feed(prefetcher, step);
+        }
+    }
+
+    /// One step whose first event is absolute index `s`; `measuring` is
+    /// constant across it. Drains the driver once, or once more after
+    /// each pause observation asks for.
+    fn feed_step(&mut self, prefetcher: &mut dyn Prefetcher, step: &[AccessEvent], s: usize) {
         let measuring = s >= self.warmup;
         if measuring && s == self.warmup && self.warmup > 0 {
             self.warmup_overpredictions = self.buffer.stats().overpredictions();
         }
-        let hits = self
-            .lanes
-            .stage_coverage_at(&mut self.l1, chunk, s as u32, &mut self.trig);
-        if measuring {
-            self.report.accesses += chunk.len() as u64;
-            self.report.l1_hits += hits;
+        let mut pos = 0;
+        let mut resume = None;
+        loop {
+            let mut driver = CoverageDriver {
+                l1: &mut self.l1,
+                buffer: &mut self.buffer,
+                report: &mut self.report,
+                run: &mut self.run,
+                tel: &mut self.tel,
+                dist_hist: self.dist_hist,
+                digest: self.digest.as_mut(),
+                measuring,
+                events: step,
+                base: s as u64,
+                pos,
+                resume,
+                pending: None,
+                pause: None,
+            };
+            prefetcher.train_predict_batch(&mut driver, &mut self.sink);
+            pos = driver.pos;
+            resume = None;
+            match driver
+                .pause
+                .expect("train_predict_batch must drain the batch")
+            {
+                Pause::Drained => return,
+                Pause::Epoch => self.tel.snapshot(|row| {
+                    emit_coverage_row(row, &self.report, &self.l1, &self.buffer, &*prefetcher)
+                }),
+                Pause::Probe(i, trigger) => {
+                    // Probe the metadata before this miss trains it, so the
+                    // mispredicted / no-metadata split reflects what the
+                    // prefetcher knew when it failed to cover the line.
+                    let knows = prefetcher.knows_line(trigger.line);
+                    if let Some(rec) = self.tel.tracer() {
+                        rec.demand_miss(i, trigger.line.raw(), knows);
+                    }
+                    resume = Some((i, trigger));
+                }
+            }
         }
-        let mut driver = CoverageDriver {
-            l1: &self.l1,
-            lanes: &self.lanes,
-            buffer: &mut self.buffer,
-            report: &mut self.report,
-            run: &mut self.run,
-            measuring,
-            idx: &self.trig.idx,
-            lines: &self.trig.lines,
-            pcs: &self.trig.pcs,
-            reads: &self.trig.reads,
-            cursor: 0,
-            digest: self.digest.as_mut(),
-        };
-        prefetcher.train_predict_batch(&mut driver, &mut self.sink);
-        debug_assert_eq!(
-            driver.cursor,
-            self.trig.len(),
-            "train_predict_batch must drain the batch"
-        );
     }
 
     /// Closes the run: records the trailing covered-run length and
-    /// charges leftover buffered prefetches as overpredictions, exactly
-    /// like the scalar engine's epilogue.
+    /// charges leftover buffered prefetches as overpredictions.
     pub fn finish(mut self) -> CoverageReport {
         if self.run > 0 {
             self.report.stream_lengths.record(self.run);
@@ -721,6 +713,20 @@ impl CoverageSession {
         self.report.overpredictions =
             (stats.overpredictions() - self.warmup_overpredictions) + self.buffer.len() as u64;
         self.report
+    }
+
+    /// [`CoverageSession::finish`] for an observed session: flushes the
+    /// partial telemetry epoch (its row reads the prefetcher's counters)
+    /// and hands the telemetry back through `tel`.
+    fn finish_observed(
+        mut self,
+        prefetcher: &dyn Prefetcher,
+        tel: &mut Telemetry,
+    ) -> CoverageReport {
+        self.tel
+            .flush(|row| emit_coverage_row(row, &self.report, &self.l1, &self.buffer, prefetcher));
+        *tel = std::mem::take(&mut self.tel);
+        self.finish()
     }
 }
 
@@ -737,50 +743,37 @@ pub fn run_coverage_session(
     let mut session = CoverageSession::new(system, prefetcher.name(), 0);
     session.enable_digest();
     prefetcher.reserve(trace.len());
-    let step = batch.max(1);
-    let n = trace.len();
-    let mut s = 0usize;
-    while s < n {
-        let e = (s + step).min(n);
-        session.step(prefetcher, trace, e);
-        s = e;
-    }
+    session.feed_steps(prefetcher, trace, batch);
     let digest = session.digest();
     (session.finish(), digest)
 }
 
-/// The batched structure-of-arrays loop: one fused pre-pass per
-/// fixed-size chunk ([`L1Lanes::stage_coverage`]) advances the L1,
-/// compacts the misses into trigger lanes, and counts the hits, then
-/// the whole chunk goes to the prefetcher via
-/// [`Prefetcher::train_predict_batch`]. Byte-identical to
-/// [`run_coverage_scalar`] by construction; the `domino-check`
-/// batched-vs-scalar oracle enforces it. Implemented on
-/// [`CoverageSession`], which owns the chunk mechanics.
-fn run_coverage_batched(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
+/// Feeds every chunk of `source` to `session` in `batch`-event steps.
+/// Only one source chunk of events is resident at a time.
+fn feed_source(
+    session: &mut CoverageSession,
+    source: &mut dyn EventSource,
     prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
     batch: usize,
-) -> CoverageReport {
-    let mut session = CoverageSession::new(system, prefetcher.name(), warmup);
-    prefetcher.reserve(trace.len());
-    let n = trace.len();
-    let mut s = 0usize;
-    while s < n {
-        let e = (s + batch).min(n);
-        session.step(prefetcher, trace, e);
-        s = e;
+) -> Result<(), TraceFileError> {
+    prefetcher.reserve(usize::try_from(source.total_events()).unwrap_or(usize::MAX));
+    let mut chunk = Vec::new();
+    loop {
+        let n = source.next_chunk(&mut chunk)?;
+        if n == 0 {
+            return Ok(());
+        }
+        // Re-split at batch granularity so the steps match the cached
+        // run's (any split is byte-identical; matching sizes keeps the
+        // performance profile comparable too).
+        session.feed_steps(prefetcher, &chunk[..n], batch);
     }
-    session.finish()
 }
 
-/// The batched coverage loop over a streaming [`EventSource`]: identical
-/// decision sequence to [`run_coverage_with_batch`] on the materialized
-/// trace (the session is partition-invariant, and staging is offset-aware
-/// via [`L1Lanes::stage_coverage_at`]), but only one source chunk of
-/// events is resident at a time. The streaming parity oracle in
+/// [`run_coverage_with_batch`] over a streaming [`EventSource`]: the same
+/// decision sequence as on the materialized trace (the session is
+/// partition-invariant and indexes events absolutely), with only one
+/// source chunk resident at a time. The streaming parity oracle in
 /// `domino-check` holds this byte-identical to the cached path for every
 /// roster system.
 ///
@@ -795,24 +788,7 @@ pub fn run_coverage_streamed(
     batch: usize,
 ) -> Result<CoverageReport, TraceFileError> {
     let mut session = CoverageSession::new(system, prefetcher.name(), warmup);
-    prefetcher.reserve(source.total_events() as usize);
-    let step = batch.max(1);
-    let mut chunk = Vec::new();
-    loop {
-        let n = source.next_chunk(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        // Re-split at batch granularity so the staged chunk size matches
-        // the cached batched run exactly (any split is byte-identical;
-        // matching sizes keeps the performance profile comparable too).
-        let mut off = 0usize;
-        while off < n {
-            let e = (off + step).min(n);
-            session.feed(prefetcher, &chunk[off..e]);
-            off = e;
-        }
-    }
+    feed_source(&mut session, source, prefetcher, batch)?;
     Ok(session.finish())
 }
 
@@ -830,21 +806,7 @@ pub fn run_coverage_streamed_session(
 ) -> Result<(CoverageReport, u64), TraceFileError> {
     let mut session = CoverageSession::new(system, prefetcher.name(), 0);
     session.enable_digest();
-    prefetcher.reserve(source.total_events() as usize);
-    let step = batch.max(1);
-    let mut chunk = Vec::new();
-    loop {
-        let n = source.next_chunk(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        let mut off = 0usize;
-        while off < n {
-            let e = (off + step).min(n);
-            session.feed(prefetcher, &chunk[off..e]);
-            off = e;
-        }
-    }
+    feed_source(&mut session, source, prefetcher, batch)?;
     let digest = session.digest();
     Ok((session.finish(), digest))
 }
@@ -1008,18 +970,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_coverage_is_byte_identical_to_scalar() {
+    fn coverage_is_byte_identical_at_any_step_size() {
         let spec = catalog::oltp();
         let trace: Vec<_> = spec.generator(17).take(30_000).collect();
         for warmup in [0usize, 10_000, 29_999] {
-            let mut scalar_p = Stms::new(TemporalConfig::default());
-            let scalar = run_coverage_with_batch(&system(), &trace, &mut scalar_p, warmup, 1);
+            let mut one_p = Stms::new(TemporalConfig::default());
+            let one = run_coverage_with_batch(&system(), &trace, &mut one_p, warmup, 1);
             for batch in [2u32, 7, 64, 4096] {
                 let mut p = Stms::new(TemporalConfig::default());
-                let batched = run_coverage_with_batch(&system(), &trace, &mut p, warmup, batch);
+                let stepped = run_coverage_with_batch(&system(), &trace, &mut p, warmup, batch);
                 assert_eq!(
-                    format!("{scalar:?}"),
-                    format!("{batched:?}"),
+                    format!("{one:?}"),
+                    format!("{stepped:?}"),
                     "batch {batch}, warmup {warmup}"
                 );
             }
@@ -1027,11 +989,11 @@ mod tests {
     }
 
     #[test]
-    fn session_steps_of_any_size_match_scalar() {
+    fn session_steps_of_any_size_match_a_whole_run() {
         let spec = catalog::oltp();
         let trace: Vec<_> = spec.generator(23).take(20_000).collect();
-        let mut scalar_p = Stms::new(TemporalConfig::default());
-        let scalar = run_coverage_with_batch(&system(), &trace, &mut scalar_p, 0, 1);
+        let mut whole_p = Stms::new(TemporalConfig::default());
+        let whole = run_coverage_with_batch(&system(), &trace, &mut whole_p, 0, 1);
         // Feed the session in ragged increments (growing, then tiny).
         let mut p = Stms::new(TemporalConfig::default());
         let mut session = CoverageSession::new(&system(), p.name(), 0);
@@ -1045,7 +1007,29 @@ mod tests {
             stride = (stride * 3 + 1) % 977 + 1;
         }
         let report = session.finish();
-        assert_eq!(format!("{scalar:?}"), format!("{report:?}"));
+        assert_eq!(format!("{whole:?}"), format!("{report:?}"));
+    }
+
+    /// The absolute access index is carried as `u64`: a session whose
+    /// steps straddle index 2^32 decides exactly like one starting low.
+    #[test]
+    fn session_index_past_u32_max_matches_a_low_start() {
+        let trace = synthetic_repeating(3, 4096);
+        let run_from = |start: usize| {
+            let mut p = Stms::new(TemporalConfig::default());
+            let mut session = CoverageSession::new(&system(), p.name(), 0);
+            session.enable_digest();
+            session.skip_to(start);
+            for step in trace.chunks(64) {
+                session.feed(&mut p, step);
+            }
+            assert_eq!(session.processed(), start + trace.len());
+            let digest = session.digest();
+            (format!("{:?}", session.finish()), digest)
+        };
+        let low = run_from(5);
+        let high = run_from(u32::MAX as usize - 5_000);
+        assert_eq!(low, high);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use domino_prefetchers::LookupAnalyzer;
 use domino_sequitur::oracle::{oracle_replay, OracleConfig};
+use domino_telemetry::Telemetry;
 use domino_trace::workload::{catalog, WorkloadSpec};
 
 use crate::config::SystemConfig;
@@ -21,7 +22,7 @@ use crate::exec;
 use crate::observe;
 use crate::report::FigureTable;
 use crate::roster::System;
-use crate::timing::{run_timing_observed, run_timing_warmed, TimingReport};
+use crate::timing::{run_timing_observed, TimingReport};
 use crate::trace_cache::{shared_miss_sequence, shared_trace};
 
 /// A figure cell: one independent run, boxed for the sweep executor.
@@ -61,28 +62,51 @@ impl Scale {
     }
 }
 
+/// Runs one coverage cell. A collecting cell runs under
+/// [`observe::telemetry`] and deposits its telemetry report and
+/// flight-recorder trace, if observation is configured; either way the
+/// cell takes the engine's one loop.
 fn coverage_of(
     system: &SystemConfig,
     spec: &WorkloadSpec,
     scale: &Scale,
     sys: System,
     degree: usize,
+    collect: bool,
 ) -> CoverageReport {
     let trace = shared_trace(spec, scale.events, scale.seed);
     let mut p = sys.build(degree);
-    run_coverage_warmed(system, &trace, p.as_mut(), scale.warmup())
+    let mut tel = cell_telemetry(collect);
+    let r = run_coverage_observed(system, &trace, p.as_mut(), scale.warmup(), &mut tel);
+    deposit_report(tel, spec, scale, sys, "coverage", p.as_ref());
+    r
 }
 
+/// [`coverage_of`] for the timing engine.
 fn timing_of(
     system: &SystemConfig,
     spec: &WorkloadSpec,
     scale: &Scale,
     sys: System,
     degree: usize,
+    collect: bool,
 ) -> TimingReport {
     let trace = shared_trace(spec, scale.events, scale.seed);
     let mut p = sys.build(degree);
-    run_timing_warmed(system, &trace, p.as_mut(), scale.warmup())
+    let mut tel = cell_telemetry(collect);
+    let r = run_timing_observed(system, &trace, p.as_mut(), scale.warmup(), &mut tel);
+    deposit_report(tel, spec, scale, sys, "timing", p.as_ref());
+    r
+}
+
+/// The telemetry handle of a figure cell: the configured observation
+/// for collecting cells, off for the rest.
+fn cell_telemetry(collect: bool) -> Telemetry {
+    if collect {
+        observe::telemetry()
+    } else {
+        Telemetry::off()
+    }
 }
 
 /// Labels a finished telemetry report with its cell identity and the
@@ -91,7 +115,7 @@ fn timing_of(
 /// deposited separately — the epoch report is only emitted when epoch
 /// telemetry itself is on, so trace-only runs produce no empty JSON.
 fn deposit_report(
-    mut tel: domino_telemetry::Telemetry,
+    mut tel: Telemetry,
     spec: &WorkloadSpec,
     scale: &Scale,
     sys: System,
@@ -125,47 +149,6 @@ fn deposit_report(
         report.counters.push((name.to_string(), value));
     });
     observe::record(report);
-}
-
-/// [`coverage_of`] that also collects a telemetry report and/or a
-/// flight-recorder trace when observation is configured (see
-/// [`crate::observe`]).
-fn coverage_of_observed(
-    system: &SystemConfig,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    sys: System,
-    degree: usize,
-) -> CoverageReport {
-    if !observe::observing() {
-        return coverage_of(system, spec, scale, sys, degree);
-    }
-    let trace = shared_trace(spec, scale.events, scale.seed);
-    let mut p = sys.build(degree);
-    let mut tel = observe::telemetry();
-    let r = run_coverage_observed(system, &trace, p.as_mut(), scale.warmup(), &mut tel);
-    deposit_report(tel, spec, scale, sys, "coverage", p.as_ref());
-    r
-}
-
-/// [`timing_of`] that also collects a telemetry report and/or a
-/// flight-recorder trace when observation is configured.
-fn timing_of_observed(
-    system: &SystemConfig,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    sys: System,
-    degree: usize,
-) -> TimingReport {
-    if !observe::observing() {
-        return timing_of(system, spec, scale, sys, degree);
-    }
-    let trace = shared_trace(spec, scale.events, scale.seed);
-    let mut p = sys.build(degree);
-    let mut tel = observe::telemetry();
-    let r = run_timing_observed(system, &trace, p.as_mut(), scale.warmup(), &mut tel);
-    deposit_report(tel, spec, scale, sys, "timing", p.as_ref());
-    r
 }
 
 fn oracle_of(
@@ -203,7 +186,7 @@ pub fn fig01(scale: &Scale) -> FigureTable {
         for sys in [System::Isb, System::Stms] {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                coverage_of(&system, &spec, &scale, sys, 1).coverage()
+                coverage_of(&system, &spec, &scale, sys, 1, false).coverage()
             }));
         }
         let spec = spec.clone();
@@ -235,7 +218,7 @@ pub fn fig02(scale: &Scale) -> FigureTable {
         for sys in [System::Stms, System::Digram] {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                coverage_of(&system, &spec, &scale, sys, 1).mean_stream_length()
+                coverage_of(&system, &spec, &scale, sys, 1, false).mean_stream_length()
             }));
         }
         let spec = spec.clone();
@@ -334,7 +317,7 @@ pub fn fig05(scale: &Scale) -> Vec<FigureTable> {
         for n in 1..=5 {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                let r = coverage_of(&system, &spec, &scale, System::MultiDepth(n), 1);
+                let r = coverage_of(&system, &spec, &scale, System::MultiDepth(n), 1, false);
                 (r.coverage(), r.overprediction_rate())
             }));
         }
@@ -371,7 +354,7 @@ pub fn fig06(scale: &Scale) -> FigureTable {
         for sys in [System::Stms, System::Domino] {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                coverage_of(&system, &spec, &scale, sys, 4).mean_first_prefetch_trips()
+                coverage_of(&system, &spec, &scale, sys, 4, false).mean_first_prefetch_trips()
             }));
         }
     }
@@ -504,11 +487,7 @@ fn roster_comparison(
         for sys in roster {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                let r = if collect {
-                    coverage_of_observed(&system, &spec, &scale, sys, degree)
-                } else {
-                    coverage_of(&system, &spec, &scale, sys, degree)
-                };
+                let r = coverage_of(&system, &spec, &scale, sys, degree, collect);
                 (r.coverage(), r.overprediction_rate())
             }));
         }
@@ -617,13 +596,13 @@ pub fn fig14(scale: &Scale) -> FigureTable {
         {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                timing_of_observed(&system, &spec, &scale, System::Baseline, 1)
+                timing_of(&system, &spec, &scale, System::Baseline, 1, true)
             }));
         }
         for sys in roster {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                timing_of_observed(&system, &spec, &scale, sys, 4)
+                timing_of(&system, &spec, &scale, sys, 4, true)
             }));
         }
     }
@@ -666,7 +645,7 @@ pub fn fig15(scale: &Scale) -> FigureTable {
         for spec in &specs {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                let r = coverage_of(&system, &spec, &scale, sys, 4);
+                let r = coverage_of(&system, &spec, &scale, sys, 4, false);
                 let demand = r.demand_bytes() as f64;
                 (
                     r.incorrect_prefetch_bytes() as f64 / demand,
@@ -757,7 +736,7 @@ pub fn fig16(scale: &Scale) -> FigureTable {
         for sys in roster {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                coverage_of(&system, &spec, &scale, sys, 4).coverage()
+                coverage_of(&system, &spec, &scale, sys, 4, false).coverage()
             }));
         }
     }
@@ -808,7 +787,7 @@ pub fn extended_roster(scale: &Scale) -> Vec<FigureTable> {
         for sys in roster {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
-                let r = coverage_of(&system, &spec, &scale, sys, 4);
+                let r = coverage_of(&system, &spec, &scale, sys, 4, false);
                 (r.coverage(), r.overprediction_rate())
             }));
         }
@@ -881,7 +860,7 @@ pub fn rivals(scale: &Scale) -> Vec<FigureTable> {
             jobs.push(Box::new(move || {
                 (
                     None,
-                    timing_of_observed(&system, &spec, &scale, System::Baseline, 1),
+                    timing_of(&system, &spec, &scale, System::Baseline, 1, true),
                 )
             }));
         }
@@ -889,8 +868,8 @@ pub fn rivals(scale: &Scale) -> Vec<FigureTable> {
             let spec = spec.clone();
             jobs.push(Box::new(move || {
                 (
-                    Some(coverage_of_observed(&system, &spec, &scale, sys, 4)),
-                    timing_of_observed(&system, &spec, &scale, sys, 4),
+                    Some(coverage_of(&system, &spec, &scale, sys, 4, true)),
+                    timing_of(&system, &spec, &scale, sys, 4, true),
                 )
             }));
         }
@@ -1007,7 +986,7 @@ pub fn mlp_sensitivity(scale: &Scale) -> FigureTable {
             jobs.push(Box::new(move || {
                 let mut spec = catalog::oltp();
                 spec.temporal.dependent_frac = f;
-                timing_of(&system, &spec, &scale, sys, degree)
+                timing_of(&system, &spec, &scale, sys, degree, false)
             }));
         }
     }
@@ -1057,9 +1036,9 @@ pub fn fig14_confidence(scale: &Scale, seeds: &[u64]) -> FigureTable {
                     events: scale.events,
                     seed,
                 };
-                let baseline = timing_of(&system, &spec, &seeded, System::Baseline, 1);
-                let stms = timing_of(&system, &spec, &seeded, System::Stms, 4);
-                let domino = timing_of(&system, &spec, &seeded, System::Domino, 4);
+                let baseline = timing_of(&system, &spec, &seeded, System::Baseline, 1, false);
+                let stms = timing_of(&system, &spec, &seeded, System::Stms, 4, false);
+                let domino = timing_of(&system, &spec, &seeded, System::Domino, 4, false);
                 (stms.speedup_over(&baseline), domino.speedup_over(&baseline))
             }));
         }

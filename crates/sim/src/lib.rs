@@ -38,7 +38,6 @@ pub(crate) fn mutate_active(name: &str) -> bool {
         .unwrap_or(false)
 }
 
-pub(crate) mod batch;
 pub mod config;
 pub mod engine;
 pub mod exec;
@@ -60,7 +59,7 @@ pub use engine::{
     CoverageSession,
 };
 pub use figures::Scale;
-pub use multicore::{run_homogeneous, run_multicore, run_multicore_with_batch, MulticoreReport};
+pub use multicore::{run_homogeneous, run_multicore, MulticoreReport};
 pub use report::FigureTable;
 pub use roster::System;
 pub use stats::Sample;

@@ -27,11 +27,10 @@ use domino_telemetry::Telemetry;
 use domino_trace::event::AccessEvent;
 use domino_trace::workload::WorkloadSpec;
 
-use crate::batch::L1Lanes;
 use crate::config::SystemConfig;
 use crate::roster::System;
 use crate::scratch;
-use crate::timing::{CoreEngine, L1View, TimingReport};
+use crate::timing::{CoreEngine, TimingReport};
 
 /// Result of a multi-core run.
 #[derive(Debug, Clone)]
@@ -85,7 +84,9 @@ impl MulticoreReport {
 }
 
 /// Runs `system.cores` cores, each with its own trace and prefetcher,
-/// over a shared LLC and memory channel.
+/// over a shared LLC and memory channel. The core earliest in simulated
+/// time steps next, one event at a time, with the same fused L1 probe as
+/// single-core timing ([`crate::timing::run_timing`]).
 ///
 /// `traces[i]` and `prefetchers[i]` belong to core `i`.
 ///
@@ -95,41 +96,7 @@ impl MulticoreReport {
 pub fn run_multicore(
     system: &SystemConfig,
     traces: Vec<Vec<AccessEvent>>,
-    prefetchers: Vec<Box<dyn Prefetcher>>,
-) -> MulticoreReport {
-    run_multicore_with_batch(system, traces, prefetchers, crate::observe::batch_size())
-}
-
-/// [`run_multicore`] at an explicit batch size, ignoring the
-/// process-wide knob. Each core stages its private L1 in `batch`-event
-/// spans of its own trace, re-staging on demand as the earliest-time
-/// interleave advances its cursor (exact for any span length — see
-/// [`crate::batch`]). `batch = 1` forces the scalar loop.
-pub fn run_multicore_with_batch(
-    system: &SystemConfig,
-    traces: Vec<Vec<AccessEvent>>,
-    prefetchers: Vec<Box<dyn Prefetcher>>,
-    batch: u32,
-) -> MulticoreReport {
-    if batch > 1 {
-        run_multicore_batched(system, traces, prefetchers, batch as usize)
-    } else {
-        let mut tels: Vec<Telemetry> = prefetchers.iter().map(|_| Telemetry::off()).collect();
-        run_multicore_observed(system, traces, prefetchers, &mut tels)
-    }
-}
-
-/// The staged multi-core loop: per-core chunked L1 pre-passes (each
-/// core's private L1 advances independently of the others and of every
-/// prefetcher, so a core re-stages whenever its cursor crosses its
-/// staged span), then the scalar earliest-time interleave stepping
-/// staged views. Shared LLC and DRAM interactions happen in the exact
-/// scalar order.
-fn run_multicore_batched(
-    system: &SystemConfig,
-    traces: Vec<Vec<AccessEvent>>,
     mut prefetchers: Vec<Box<dyn Prefetcher>>,
-    batch: usize,
 ) -> MulticoreReport {
     assert_eq!(
         traces.len(),
@@ -147,11 +114,6 @@ fn run_multicore_batched(
         .zip(tels.iter_mut())
         .map(|(p, tel)| CoreEngine::new(system, p.as_mut(), tel))
         .collect();
-    let mut all_lanes: Vec<L1Lanes> = (0..engines.len()).map(|_| L1Lanes::new()).collect();
-    // The span currently staged in `all_lanes[i]` is
-    // `staged_start[i]..staged_end[i]` of core i's trace.
-    let mut staged_start = vec![0usize; traces.len()];
-    let mut staged_end = vec![0usize; traces.len()];
     let mut cursors = vec![0usize; traces.len()];
     loop {
         // Advance the core that is earliest in simulated time.
@@ -165,95 +127,11 @@ fn run_multicore_batched(
             }
         }
         let Some(i) = next else { break };
-        let j = cursors[i];
+        engines[i].step(&traces[i][cursors[i]], &mut l2, &mut dram);
         cursors[i] += 1;
-        if j == staged_end[i] {
-            let end = (j + batch).min(traces[i].len());
-            engines[i].stage_span(&mut all_lanes[i], &traces[i], j, end);
-            staged_start[i] = j;
-            staged_end[i] = end;
-        }
-        let view = L1View::Staged {
-            idx: j as u32,
-            hit: all_lanes[i].hits[j - staged_start[i]],
-            lanes: &all_lanes[i],
-        };
-        engines[i].step(&traces[i][j], view, &mut l2, &mut dram);
     }
     let chip = dram.traffic();
-    let per_core: Vec<TimingReport> = engines
-        .into_iter()
-        .map(|mut e| {
-            e.flush_telemetry(&dram);
-            e.finish(chip)
-        })
-        .collect();
-    let total_ns = per_core.iter().map(|r| r.total_ns).fold(0.0f64, f64::max);
-    MulticoreReport {
-        per_core,
-        total_ns,
-        chip,
-    }
-}
-
-/// [`run_multicore`] with one telemetry handle per core (`tels[i]`
-/// observes core `i`): each core gets its own epoch clock, histograms,
-/// and snapshot series over the shared LLC and channel.
-///
-/// # Panics
-///
-/// Panics if the numbers of traces, prefetchers, and handles differ.
-pub fn run_multicore_observed(
-    system: &SystemConfig,
-    traces: Vec<Vec<AccessEvent>>,
-    mut prefetchers: Vec<Box<dyn Prefetcher>>,
-    tels: &mut [Telemetry],
-) -> MulticoreReport {
-    assert_eq!(
-        traces.len(),
-        prefetchers.len(),
-        "one prefetcher per core required"
-    );
-    assert_eq!(
-        traces.len(),
-        tels.len(),
-        "one telemetry handle per core required"
-    );
-    let mut l2 = scratch::cache(system.l2);
-    let mut dram = Dram::new(system.memory);
-    for (p, trace) in prefetchers.iter_mut().zip(traces.iter()) {
-        p.reserve(trace.len());
-    }
-    let mut engines: Vec<CoreEngine<'_>> = prefetchers
-        .iter_mut()
-        .zip(tels.iter_mut())
-        .map(|(p, tel)| CoreEngine::new(system, p.as_mut(), tel))
-        .collect();
-    let mut cursors = vec![0usize; traces.len()];
-    loop {
-        // Advance the core that is earliest in simulated time.
-        let mut next: Option<usize> = None;
-        for (i, engine) in engines.iter().enumerate() {
-            if cursors[i] < traces[i].len() {
-                match next {
-                    Some(j) if engines[j].now <= engine.now => {}
-                    _ => next = Some(i),
-                }
-            }
-        }
-        let Some(i) = next else { break };
-        let ev = traces[i][cursors[i]];
-        cursors[i] += 1;
-        engines[i].step(&ev, L1View::Live, &mut l2, &mut dram);
-    }
-    let chip = dram.traffic();
-    let per_core: Vec<TimingReport> = engines
-        .into_iter()
-        .map(|mut e| {
-            e.flush_telemetry(&dram);
-            e.finish(chip)
-        })
-        .collect();
+    let per_core: Vec<TimingReport> = engines.into_iter().map(|e| e.finish(chip)).collect();
     let total_ns = per_core.iter().map(|r| r.total_ns).fold(0.0f64, f64::max);
     MulticoreReport {
         per_core,
@@ -355,32 +233,6 @@ mod tests {
         // Prefetching must not collapse chip throughput even at this
         // warmup-dominated scale.
         assert!(dom.speedup_over(&base) > 0.8);
-    }
-
-    #[test]
-    fn batched_multicore_is_byte_identical_to_scalar() {
-        let system = SystemConfig::paper();
-        let cores = system.cores as usize;
-        let traces: Vec<Vec<AccessEvent>> = (0..cores)
-            .map(|c| {
-                catalog::oltp()
-                    .generator(42u64.wrapping_add(c as u64 * 0x9e37))
-                    .take(15_000)
-                    .collect()
-            })
-            .collect();
-        let build = |sys: System| -> Vec<Box<dyn Prefetcher>> {
-            (0..cores).map(|_| sys.build(4)).collect()
-        };
-        for sys in [System::Baseline, System::Domino] {
-            let scalar = run_multicore_with_batch(&system, traces.clone(), build(sys), 1);
-            let batched = run_multicore_with_batch(&system, traces.clone(), build(sys), 64);
-            assert_eq!(
-                format!("{scalar:?}"),
-                format!("{batched:?}"),
-                "{sys:?}: staged multicore diverged from scalar"
-            );
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! length is set ([`set_epoch_override`] from `--epoch`, or the
 //! `DOMINO_EPOCH` environment variable), and only the runners that opt
 //! into collection (Figure 13's coverage roster, Figure 14's timing
-//! roster) deposit reports. Everything else pays one dead branch per
-//! access.
+//! roster) deposit reports. Everything else runs the same loop with a
+//! disabled handle: a few dead branches per L1 miss.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -34,13 +34,16 @@ static EPOCH_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 static TRACE_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 
 /// `--batch` override; same encoding again (0 = fall back to
-/// `DOMINO_BATCH`, `u64::MAX` = explicitly scalar, else batch size).
+/// `DOMINO_BATCH`, `u64::MAX` = explicitly one event, else batch size).
 static BATCH_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 
-/// Default event-batch size of the structure-of-arrays hot path. 64
-/// events per chunk keeps every lane (lines, hit flags, membership
-/// deltas) inside L1 while amortizing the staging pre-pass; measured as
-/// the knee of the throughput curve on the figure sweep.
+/// Default event-batch size. The batch sets only two things: the
+/// coverage engine's step (events walked per
+/// `Prefetcher::train_predict_batch` call) and the timing engine's
+/// pollution span (events whose cross-core LLC fills are precomputed
+/// and host-prefetched together). Results are byte-identical at every
+/// size; 64 amortizes the per-step call and keeps a span's pollution
+/// lines in the host L1.
 pub const DEFAULT_BATCH: u32 = 64;
 
 /// Reports deposited by sweep cells, in completion order.
@@ -107,8 +110,8 @@ pub fn trace_capacity() -> Option<u64> {
 }
 
 /// Sets (or clears) the event-batch-size override. `Some(0)` and
-/// `Some(1)` are normalised to "explicitly scalar". Takes precedence
-/// over `DOMINO_BATCH`.
+/// `Some(1)` are normalised to one event. Takes precedence over
+/// `DOMINO_BATCH`.
 pub fn set_batch_override(batch: Option<u32>) {
     let coded = match batch {
         None => 0,
@@ -118,9 +121,8 @@ pub fn set_batch_override(batch: Option<u32>) {
     BATCH_OVERRIDE.store(coded, Ordering::SeqCst);
 }
 
-/// The effective event-batch size for the engines' hot path: the
+/// The effective event-batch size (see [`DEFAULT_BATCH`]): the
 /// override if set, else `DOMINO_BATCH`, else [`DEFAULT_BATCH`].
-/// `1` means the scalar one-event-at-a-time loop.
 pub fn batch_size() -> u32 {
     match BATCH_OVERRIDE.load(Ordering::SeqCst) {
         0 => std::env::var("DOMINO_BATCH")
@@ -133,8 +135,7 @@ pub fn batch_size() -> u32 {
     }
 }
 
-/// Whether any observation (epoch telemetry or tracing) is enabled —
-/// the gate figure runners use to pick the observed code path.
+/// Whether any observation (epoch telemetry or tracing) is enabled.
 pub fn observing() -> bool {
     epoch().is_some() || trace_capacity().is_some()
 }
@@ -304,13 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_override_normalises_scalar_and_clears() {
+    fn batch_override_normalises_to_one_and_clears() {
         set_batch_override(Some(7));
         assert_eq!(batch_size(), 7);
         set_batch_override(Some(1));
-        assert_eq!(batch_size(), 1, "Some(1) means explicitly scalar");
+        assert_eq!(batch_size(), 1, "Some(1) means one event");
         set_batch_override(Some(0));
-        assert_eq!(batch_size(), 1, "Some(0) means explicitly scalar");
+        assert_eq!(batch_size(), 1, "Some(0) means one event");
         set_batch_override(None);
         if std::env::var("DOMINO_BATCH").is_err() {
             assert_eq!(batch_size(), DEFAULT_BATCH);

@@ -42,49 +42,15 @@ use domino_mem::cache::SetAssocCache;
 use domino_mem::dram::{Dram, TrafficCategory, TrafficStats};
 use domino_mem::interface::{CollectSink, Prefetcher, TriggerEvent};
 use domino_mem::mshr::MshrFile;
-use domino_mem::prefetch_buffer::{InsertOutcome, PrefetchBuffer};
+use domino_mem::prefetch_buffer::PrefetchBuffer;
 use domino_telemetry::{CounterSink, HistId, Telemetry, LATENCY_BOUNDS, MSHR_BOUNDS};
-use domino_trace::addr::LINE_BYTES;
+use domino_trace::addr::{LineAddr, LINE_BYTES};
 use domino_trace::event::AccessEvent;
 use domino_trace::stream::{EventSource, TraceFileError};
 
-use crate::batch::L1Lanes;
 use crate::config::SystemConfig;
+use crate::engine::record_insert;
 use crate::scratch;
-
-/// How [`CoreEngine::step`] sees the L1 for one event.
-///
-/// The batched hot path pre-advances the L1 over a whole staged span
-/// ([`L1Lanes::stage`]) before stepping any event, which is exact
-/// because prefetches never fill the L1 (see [`crate::batch`]). `step`
-/// then reads the staged hit flag instead of probing the cache, skips
-/// the (already performed) demand fill, and answers dropped-request
-/// membership queries through the staging delta map.
-#[derive(Clone, Copy)]
-pub(crate) enum L1View<'s> {
-    /// Probe and fill the live cache per event (the scalar path).
-    Live,
-    /// Probe-and-fill in one fused scan at the probe point
-    /// ([`SetAssocCache::access_insert`]). Exact because nothing
-    /// between the scalar loop's probe and its demand fill reads the
-    /// L1, so hoisting the fill to the probe is unobservable — and the
-    /// dropped-request gate then reads live post-fill state, exactly
-    /// what the scalar gate reads. The single-core batched timing loop
-    /// uses this: it pays neither the second scan of a separate
-    /// `insert` nor any staging bookkeeping.
-    Fused,
-    /// The event's L1 outcome was staged ahead of time (a whole span
-    /// was pre-advanced, so membership queries go through the staging
-    /// delta map). The multicore interleave uses this.
-    Staged {
-        /// Absolute trace index of the event (delta-map query point).
-        idx: u32,
-        /// Staged demand outcome: `true` = L1 hit.
-        hit: bool,
-        /// The staged span covering this event.
-        lanes: &'s L1Lanes,
-    },
-}
 
 /// Result of a timing run.
 #[derive(Debug, Clone)]
@@ -248,26 +214,15 @@ impl<'a> CoreEngine<'a> {
         ));
     }
 
-    /// Stages the L1 outcomes of `trace[start..end]` into `lanes` (the
-    /// batched paths' pre-pass over this core's private L1).
-    pub(crate) fn stage_span(
-        &mut self,
-        lanes: &mut L1Lanes,
-        trace: &[AccessEvent],
-        start: usize,
-        end: usize,
-    ) {
-        lanes.stage(&mut self.l1, trace, start, end);
-    }
-
     /// Processes one trace event against the shared LLC and channel.
-    pub(crate) fn step(
-        &mut self,
-        ev: &AccessEvent,
-        view: L1View<'_>,
-        l2: &mut SetAssocCache,
-        dram: &mut Dram,
-    ) {
+    ///
+    /// The L1 probe and the demand fill are one fused scan
+    /// ([`SetAssocCache::access_insert`]). Nothing between a probe and
+    /// its demand fill reads the L1, so hoisting the fill to the probe is
+    /// unobservable, and the dropped-request gate reads the live
+    /// post-fill state. L1 hits return before the epoch clock ticks: it
+    /// counts L1 misses.
+    pub(crate) fn step(&mut self, ev: &AccessEvent, l2: &mut SetAssocCache, dram: &mut Dram) {
         let report = &mut self.report;
         report.instructions += u64::from(ev.gap_insts) + 1;
         self.now += f64::from(ev.gap_insts) * self.per_inst;
@@ -285,12 +240,7 @@ impl<'a> CoreEngine<'a> {
         }
         self.mshrs.retire_until(self.now);
         let line = ev.line();
-        let l1_hit = match view {
-            L1View::Live => self.l1.access(line),
-            L1View::Fused => self.l1.access_insert(line).0,
-            L1View::Staged { hit, .. } => hit,
-        };
-        if l1_hit {
+        if self.l1.access_insert(line).0 {
             return;
         }
         // Demand miss: resolve when its data is available.
@@ -398,11 +348,6 @@ impl<'a> CoreEngine<'a> {
             self.rob_q
                 .push_back((report.instructions + self.rob, data_ready));
         }
-        if matches!(view, L1View::Live) {
-            // Fused probes and staged spans already performed the
-            // demand fill.
-            self.l1.insert(line);
-        }
         // Drive the prefetcher.
         self.sink.clear();
         let trigger = if covered {
@@ -449,11 +394,7 @@ impl<'a> CoreEngine<'a> {
             if let Some(rec) = self.tel.tracer() {
                 rec.issue(now_ts, req.line.raw(), req.stream, req.delay_trips);
             }
-            let in_l1 = match view {
-                L1View::Live | L1View::Fused => self.l1.contains(req.line),
-                L1View::Staged { idx, lanes, .. } => lanes.contains_at(&self.l1, idx, req.line),
-            };
-            if in_l1 {
+            if self.l1.contains(req.line) {
                 if let Some(rec) = self.tel.tracer() {
                     // Already in the L1: the engine drops the request.
                     rec.drop_unbuffered(now_ts, req.line.raw(), req.stream, 2);
@@ -473,18 +414,7 @@ impl<'a> CoreEngine<'a> {
             };
             let outcome = self.buffer.insert(req.line, arrival, req.stream);
             if let Some(rec) = self.tel.tracer() {
-                match outcome {
-                    InsertOutcome::Inserted => {
-                        rec.fill(now_ts, req.line.raw(), req.stream, arrival as u64);
-                    }
-                    InsertOutcome::Duplicate => {
-                        rec.drop_unbuffered(now_ts, req.line.raw(), req.stream, 1);
-                    }
-                    InsertOutcome::Evicted(victim) => {
-                        rec.evict_unused(now_ts, victim.line.raw(), victim.stream);
-                        rec.fill(now_ts, req.line.raw(), req.stream, arrival as u64);
-                    }
-                }
+                record_insert(rec, now_ts, req, outcome, arrival as u64);
             }
         }
         if self.tel.tick() {
@@ -574,12 +504,11 @@ pub fn run_timing_warmed(
 
 /// [`run_timing_warmed`] with a telemetry handle: per-epoch snapshots of
 /// the core, caches, MSHRs, and shared channel, plus metadata round-trip
-/// latency and MSHR-occupancy histograms.
+/// latency and MSHR-occupancy histograms. The epoch clock ticks once per
+/// L1 miss.
 ///
-/// As with the coverage engine, unobserved runs take the batched
-/// structure-of-arrays path at the effective
-/// [`crate::observe::batch_size`]; observed runs stay scalar. The
-/// reports are byte-identical either way.
+/// Observed and unobserved runs take the same span loop, in spans of the
+/// effective [`crate::observe::batch_size`] events.
 pub fn run_timing_observed(
     system: &SystemConfig,
     trace: &[AccessEvent],
@@ -587,17 +516,15 @@ pub fn run_timing_observed(
     warmup: usize,
     tel: &mut Telemetry,
 ) -> TimingReport {
-    let batch = crate::observe::batch_size();
-    if batch > 1 && !tel.is_on() && !tel.has_tracer() {
-        run_timing_batched(system, trace, prefetcher, warmup, batch as usize)
-    } else {
-        run_timing_scalar(system, trace, prefetcher, warmup, tel)
-    }
+    let span = crate::observe::batch_size() as usize;
+    let mut run = TimingRun::new(system, prefetcher, tel, warmup, span, trace.len());
+    run.feed(trace);
+    run.finish()
 }
 
-/// [`run_timing`] at an explicit batch size, ignoring the process-wide
-/// knob (`batch = 1` forces the scalar loop) — the batched-vs-scalar
-/// differential checker's entry point.
+/// [`run_timing_warmed`] in spans of `batch` events, ignoring the
+/// process-wide knob. Reports are byte-identical at every span size; the
+/// `domino-check` batch-parity oracle compares batch 1 with larger ones.
 pub fn run_timing_with_batch(
     system: &SystemConfig,
     trace: &[AccessEvent],
@@ -605,119 +532,27 @@ pub fn run_timing_with_batch(
     warmup: usize,
     batch: u32,
 ) -> TimingReport {
-    if batch > 1 {
-        run_timing_batched(system, trace, prefetcher, warmup, batch as usize)
-    } else {
-        run_timing_scalar(system, trace, prefetcher, warmup, &mut Telemetry::off())
-    }
-}
-
-/// How many pollution inserts ahead the batched timing loop prefetches
-/// the LLC slab. Far enough to cover a host-memory round trip, close
-/// enough that the touched sets are still cached when the insert runs.
-const POLLUTE_PREFETCH_AHEAD: usize = 16;
-
-/// The batched timing loop: per chunk, one SoA pass precomputes the
-/// cross-core pollution RNG chain (it depends on nothing else) and
-/// host-prefetches the LLC sets it will touch — the pollution lines
-/// are uniform over a slab far larger than the host's L1, so the
-/// scalar loop stalls on a cold set per insert. Events then step with
-/// a fused L1 probe-and-fill ([`L1View::Fused`]): one scan where the
-/// scalar loop pays a probe scan plus a fill scan per miss. Every
-/// simulated interaction (pollution inserts, DRAM, MSHRs) happens in
-/// the exact scalar order.
-fn run_timing_batched(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
-    batch: usize,
-) -> TimingReport {
-    let mut l2 = scratch::cache(system.l2);
-    let mut dram = Dram::new(system.memory);
-    prefetcher.reserve(trace.len());
-    let mut pollute_state: u64 = 0x1234_5678_9abc_def1;
-    let pollute_per_event = 2 * (system.cores - 1) as usize;
     let mut tel = Telemetry::off();
-    let mut engine = CoreEngine::new(system, prefetcher, &mut tel);
-    // The chunk's pollution lines, precomputed per chunk and reused
-    // across chunks.
-    let mut pollute_lines: Vec<domino_trace::addr::LineAddr> = Vec::new();
-    let n = trace.len();
-    let mut s = 0usize;
-    while s < n {
-        // Chunks break at the warmup boundary so the measurement mark
-        // lands exactly where the scalar loop places it.
-        let mut e = (s + batch).min(n);
-        if s < warmup && e > warmup {
-            e = warmup;
-        }
-        if s == warmup && warmup > 0 {
-            engine.mark_measurement_start();
-        }
-        step_timing_span(
-            &mut engine,
-            &mut l2,
-            &mut dram,
-            &mut pollute_state,
-            &mut pollute_lines,
-            pollute_per_event,
-            &trace[s..e],
-        );
-        s = e;
-    }
-    let traffic = dram.traffic();
-    engine.finish(traffic)
+    let mut run = TimingRun::new(
+        system,
+        prefetcher,
+        &mut tel,
+        warmup,
+        batch as usize,
+        trace.len(),
+    );
+    run.feed(trace);
+    run.finish()
 }
 
-/// One batched-timing span: extend the pollution chain for
-/// `events.len()` events, host-prefetch the touched LLC sets, then step
-/// each event in exact scalar order. Shared by the cached-slice and
-/// streamed batched loops — the chain state carries across spans, so
-/// span boundaries are unobservable in the simulated state.
-fn step_timing_span(
-    engine: &mut CoreEngine<'_>,
-    l2: &mut SetAssocCache,
-    dram: &mut Dram,
-    pollute_state: &mut u64,
-    pollute_lines: &mut Vec<domino_trace::addr::LineAddr>,
-    pollute_per_event: usize,
-    events: &[AccessEvent],
-) {
-    pollute_lines.clear();
-    for _ in 0..events.len() * pollute_per_event {
-        *pollute_state ^= *pollute_state << 13;
-        *pollute_state ^= *pollute_state >> 7;
-        *pollute_state ^= *pollute_state << 17;
-        pollute_lines.push(domino_trace::addr::LineAddr::new(
-            0x0F00_0000_0000 | (*pollute_state & 0xFFFF_FFFF),
-        ));
-    }
-    for l in pollute_lines.iter().take(POLLUTE_PREFETCH_AHEAD) {
-        l2.prefetch_set(*l);
-    }
-    for (off, ev) in events.iter().enumerate() {
-        let base = off * pollute_per_event;
-        for (k, &line) in pollute_lines[base..base + pollute_per_event]
-            .iter()
-            .enumerate()
-        {
-            if let Some(&ahead) = pollute_lines.get(base + k + POLLUTE_PREFETCH_AHEAD) {
-                l2.prefetch_set(ahead);
-            }
-            l2.insert(line);
-        }
-        engine.step(ev, L1View::Fused, l2, dram);
-    }
-}
-
-/// [`run_timing_with_batch`] over an [`EventSource`]: pulls fixed-size
-/// chunks from the source and re-splits them at the batch size and the
-/// absolute warmup boundary. Every simulated state transition (the
-/// pollution chain, cache fills, DRAM, the prefetcher) happens in exact
-/// scalar order with state carried across chunks, so the report is
-/// byte-identical to the cached-slice loops — only the source's chunk
-/// buffers and the current span are ever resident.
+/// [`run_timing_with_batch`] over an [`EventSource`]: the same span loop
+/// fed one source chunk at a time, so the report is byte-identical to the
+/// cached-slice run while only the source's chunk buffers and the current
+/// span are ever resident.
+///
+/// # Errors
+///
+/// Propagates decode/I/O errors from the source.
 pub fn run_timing_streamed(
     system: &SystemConfig,
     source: &mut dyn EventSource,
@@ -725,88 +560,134 @@ pub fn run_timing_streamed(
     warmup: usize,
     batch: usize,
 ) -> Result<TimingReport, TraceFileError> {
-    let batch = batch.max(1);
-    let mut l2 = scratch::cache(system.l2);
-    let mut dram = Dram::new(system.memory);
-    prefetcher.reserve(usize::try_from(source.total_events()).unwrap_or(usize::MAX));
-    let mut pollute_state: u64 = 0x1234_5678_9abc_def1;
-    let pollute_per_event = 2 * (system.cores - 1) as usize;
     let mut tel = Telemetry::off();
-    let mut engine = CoreEngine::new(system, prefetcher, &mut tel);
-    let mut pollute_lines: Vec<domino_trace::addr::LineAddr> = Vec::new();
-    let mut chunk: Vec<AccessEvent> = Vec::new();
-    // Absolute index of the first event of the current chunk.
-    let mut seen = 0usize;
+    let expected = usize::try_from(source.total_events()).unwrap_or(usize::MAX);
+    let mut run = TimingRun::new(system, prefetcher, &mut tel, warmup, batch, expected);
+    let mut chunk = Vec::new();
     loop {
         let n = source.next_chunk(&mut chunk)?;
         if n == 0 {
             break;
         }
-        let mut off = 0usize;
-        while off < n {
-            let s = seen + off;
-            // Spans break at the warmup boundary so the measurement
-            // mark lands exactly where the scalar loop places it.
-            let mut e = (off + batch).min(n);
-            if s < warmup && seen + e > warmup {
-                e = warmup - seen;
-            }
-            if s == warmup && warmup > 0 {
-                engine.mark_measurement_start();
-            }
-            step_timing_span(
-                &mut engine,
-                &mut l2,
-                &mut dram,
-                &mut pollute_state,
-                &mut pollute_lines,
-                pollute_per_event,
-                &chunk[off..e],
-            );
-            off = e;
-        }
-        seen += n;
+        run.feed(&chunk[..n]);
     }
-    let traffic = dram.traffic();
-    Ok(engine.finish(traffic))
+    Ok(run.finish())
 }
 
-/// The scalar one-event-at-a-time timing loop (and the only loop that
-/// supports telemetry and tracing).
-fn run_timing_scalar(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
+/// How many pollution inserts ahead the span loop prefetches the LLC
+/// slab. Far enough to cover a host-memory round trip, close enough that
+/// the touched sets are still cached when the insert runs.
+const POLLUTE_PREFETCH_AHEAD: usize = 16;
+
+/// The single-core timing model's one loop: a [`CoreEngine`] over the
+/// LLC and channel, fed in spans. Per span, one pass precomputes the
+/// cross-core pollution RNG chain (it depends on nothing else) and
+/// host-prefetches the LLC sets it will touch — the pollution lines are
+/// uniform over a slab far larger than the host's L1, so each insert
+/// would otherwise stall on a cold set — then every event steps in
+/// order. The chain carries across spans, so span boundaries are
+/// unobservable in the simulated state: cached and streamed runs share
+/// this driver and agree byte for byte at any span size.
+struct TimingRun<'a> {
+    engine: CoreEngine<'a>,
+    l2: scratch::Pooled<SetAssocCache>,
+    dram: Dram,
+    /// Cross-core LLC pollution: two fills per other core per event.
+    /// Server consolidation keeps the shared LLC under constant pressure
+    /// (each core's miss rate matches ours, and instruction/OS
+    /// footprints add more).
+    pollute_state: u64,
+    pollute_per_event: usize,
+    /// The current span's pollution lines, reused across spans.
+    pollute_lines: Vec<LineAddr>,
     warmup: usize,
-    tel: &mut Telemetry,
-) -> TimingReport {
-    let mut l2 = scratch::cache(system.l2);
-    let mut dram = Dram::new(system.memory);
-    prefetcher.reserve(trace.len());
-    // Cross-core LLC pollution state (other cores' fills). Two fills per
-    // other core per event: server consolidation keeps the shared LLC
-    // under constant pressure (each core's miss rate matches ours, and
-    // instruction/OS footprints add more).
-    let mut pollute_state: u64 = 0x1234_5678_9abc_def1;
-    let pollute_per_event = 2 * (system.cores - 1) as usize;
-    let mut engine = CoreEngine::new(system, prefetcher, tel);
-    for (i, ev) in trace.iter().enumerate() {
-        if i == warmup && warmup > 0 {
-            engine.mark_measurement_start();
+    /// Events stepped so far: the absolute index of the next one.
+    seen: usize,
+    span: usize,
+}
+
+impl<'a> TimingRun<'a> {
+    fn new(
+        system: &SystemConfig,
+        prefetcher: &'a mut dyn Prefetcher,
+        tel: &'a mut Telemetry,
+        warmup: usize,
+        span: usize,
+        expected_events: usize,
+    ) -> Self {
+        let l2 = scratch::cache(system.l2);
+        prefetcher.reserve(expected_events);
+        TimingRun {
+            engine: CoreEngine::new(system, prefetcher, tel),
+            l2,
+            dram: Dram::new(system.memory),
+            pollute_state: 0x1234_5678_9abc_def1,
+            pollute_per_event: 2 * (system.cores - 1) as usize,
+            pollute_lines: Vec::new(),
+            warmup,
+            seen: 0,
+            span: span.max(1),
         }
-        for _ in 0..pollute_per_event {
-            pollute_state ^= pollute_state << 13;
-            pollute_state ^= pollute_state >> 7;
-            pollute_state ^= pollute_state << 17;
-            l2.insert(domino_trace::addr::LineAddr::new(
-                0x0F00_0000_0000 | (pollute_state & 0xFFFF_FFFF),
-            ));
-        }
-        engine.step(ev, L1View::Live, &mut l2, &mut dram);
     }
-    engine.flush_telemetry(&dram);
-    let traffic = dram.traffic();
-    engine.finish(traffic)
+
+    /// Steps the run's next `events` in spans that break at the span size
+    /// and at the warmup boundary, so the measurement mark lands just
+    /// before event `warmup`.
+    fn feed(&mut self, events: &[AccessEvent]) {
+        let mut off = 0;
+        while off < events.len() {
+            let s = self.seen;
+            let mut len = (events.len() - off).min(self.span);
+            if s < self.warmup && s + len > self.warmup {
+                len = self.warmup - s;
+            }
+            if s == self.warmup && self.warmup > 0 {
+                self.engine.mark_measurement_start();
+            }
+            self.step_span(&events[off..off + len]);
+            off += len;
+            self.seen = s + len;
+        }
+    }
+
+    /// Extends the pollution chain for `events.len()` events,
+    /// host-prefetches the touched LLC sets, then steps each event after
+    /// its pollution inserts.
+    fn step_span(&mut self, events: &[AccessEvent]) {
+        let per_event = self.pollute_per_event;
+        let state = &mut self.pollute_state;
+        self.pollute_lines.clear();
+        for _ in 0..events.len() * per_event {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            self.pollute_lines
+                .push(LineAddr::new(0x0F00_0000_0000 | (*state & 0xFFFF_FFFF)));
+        }
+        for l in self.pollute_lines.iter().take(POLLUTE_PREFETCH_AHEAD) {
+            self.l2.prefetch_set(*l);
+        }
+        for (off, ev) in events.iter().enumerate() {
+            let base = off * per_event;
+            for (k, &line) in self.pollute_lines[base..base + per_event]
+                .iter()
+                .enumerate()
+            {
+                if let Some(&ahead) = self.pollute_lines.get(base + k + POLLUTE_PREFETCH_AHEAD) {
+                    self.l2.prefetch_set(ahead);
+                }
+                self.l2.insert(line);
+            }
+            self.engine.step(ev, &mut self.l2, &mut self.dram);
+        }
+    }
+
+    /// Flushes the partial telemetry epoch and returns the report.
+    fn finish(mut self) -> TimingReport {
+        self.engine.flush_telemetry(&self.dram);
+        let traffic = self.dram.traffic();
+        self.engine.finish(traffic)
+    }
 }
 
 #[cfg(test)]
@@ -905,18 +786,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_timing_is_byte_identical_to_scalar() {
+    fn timing_is_byte_identical_at_any_span_size() {
         let spec = catalog::oltp();
         let trace: Vec<_> = spec.generator(13).take(25_000).collect();
         for warmup in [0usize, 9_000] {
-            let mut scalar_p = Stms::new(TemporalConfig::default());
-            let scalar = run_timing_with_batch(&system(), &trace, &mut scalar_p, warmup, 1);
+            let mut one_p = Stms::new(TemporalConfig::default());
+            let one = run_timing_with_batch(&system(), &trace, &mut one_p, warmup, 1);
             for batch in [2u32, 7, 64, 4096] {
                 let mut p = Stms::new(TemporalConfig::default());
-                let batched = run_timing_with_batch(&system(), &trace, &mut p, warmup, batch);
+                let spanned = run_timing_with_batch(&system(), &trace, &mut p, warmup, batch);
                 assert_eq!(
-                    format!("{scalar:?}"),
-                    format!("{batched:?}"),
+                    format!("{one:?}"),
+                    format!("{spanned:?}"),
                     "batch {batch}, warmup {warmup}"
                 );
             }

@@ -33,7 +33,9 @@ pub struct RunReport {
     /// Warmup prefix in accesses (included in the series; excluded from
     /// the engine's headline metrics).
     pub warmup: u64,
-    /// Epoch length in accesses.
+    /// Epoch length in ticks of the epoch clock, which the engines
+    /// advance once per L1 miss (not per access; the name is kept for
+    /// schema compatibility).
     pub epoch_accesses: u64,
     /// Column names of the epoch rows.
     pub fields: Vec<String>,

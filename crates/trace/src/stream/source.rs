@@ -2,8 +2,8 @@
 //!
 //! An [`EventSource`] hands out the trace as consecutive chunks of
 //! [`AccessEvent`]s. The engines (`run_coverage_streamed`,
-//! `run_timing_streamed` in `domino-sim`) are chunk-agnostic — the batched
-//! SoA loop is byte-identical under any partition of the trace — so the
+//! `run_timing_streamed` in `domino-sim`) are chunk-agnostic — each
+//! model's loop is byte-identical under any partition of the trace — so the
 //! source only controls *where the bytes live*:
 //!
 //! * [`SliceSource`] — an in-memory slice (the cached path, for parity

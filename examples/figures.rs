@@ -18,10 +18,10 @@
 //! variable, else the host's available parallelism. Output tables are
 //! byte-identical at any job count.
 //!
-//! The per-event hot path runs in SoA batches of `--batch` events
-//! (else `DOMINO_BATCH`, else a tuned default; `--batch 1` forces the
-//! scalar loop). Every table is byte-identical at any batch size — the
-//! `batched_vs_scalar` checker oracle enforces this.
+//! `--batch N` (else `DOMINO_BATCH`, else a tuned default) sets the
+//! coverage engine's step and the timing engine's pollution span, in
+//! events. Every table, telemetry file and trace file is byte-identical
+//! at any batch size — the `batch_parity` checker oracle enforces this.
 //!
 //! Each run also writes `BENCH_sweep.json` (to the output directory if
 //! one is given, else the working directory): per-figure wall-clock and
@@ -252,7 +252,7 @@ fn main() {
             let n: u32 = args
                 .next()
                 .and_then(|s| s.parse().ok())
-                .expect("--batch needs a positive integer (1 = scalar)");
+                .expect("--batch needs a positive integer");
             observe::set_batch_override(Some(n));
         } else if arg == "--epoch" {
             let n: u64 = args

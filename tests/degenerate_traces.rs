@@ -10,8 +10,8 @@
 
 use domino_sim::roster::System;
 use domino_sim::{
-    run_coverage, run_coverage_with_batch, run_multicore, run_multicore_with_batch, run_timing,
-    run_timing_with_batch, SystemConfig,
+    run_coverage, run_coverage_with_batch, run_multicore, run_timing, run_timing_with_batch,
+    SystemConfig,
 };
 use domino_trace::addr::{Addr, Pc, LINE_BYTES};
 use domino_trace::event::{AccessEvent, AccessKind};
@@ -123,10 +123,12 @@ fn every_system_survives_degenerate_traces() {
 }
 
 /// Batch-boundary pathology: the degenerate shapes hit every edge the
-/// chunk loop has — zero chunks (empty trace), one single-event chunk,
+/// step loops have — zero steps (empty trace), one single-event step,
 /// trace lengths that are not a batch multiple, and batches larger than
 /// the whole trace. Every roster system must produce byte-identical
-/// reports at batch 1 and at every other batch size.
+/// reports at batch 1 and at every other batch size, and a one-core
+/// multicore run (which has no batch) must match single-core timing at
+/// each of them.
 #[test]
 fn batched_engines_match_scalar_on_degenerate_traces() {
     let cfg = SystemConfig::paper();
@@ -137,30 +139,25 @@ fn batched_engines_match_scalar_on_degenerate_traces() {
     for (name, trace) in degenerate_traces() {
         for sys in System::all() {
             let label = sys.label();
-            let cov_scalar = format!(
+            let cov_one = format!(
                 "{:?}",
                 run_coverage_with_batch(&cfg, &trace, sys.build(DEGREE).as_mut(), 0, 1)
             );
-            let tim_scalar = format!(
+            let tim_one = format!(
                 "{:?}",
                 run_timing_with_batch(&cfg, &trace, sys.build(DEGREE).as_mut(), 0, 1)
             );
-            let multi_scalar = format!(
+            let multi = format!(
                 "{:?}",
-                run_multicore_with_batch(
-                    &one_core,
-                    vec![trace.clone()],
-                    vec![sys.build(DEGREE)],
-                    1
-                )
+                run_multicore(&one_core, vec![trace.clone()], vec![sys.build(DEGREE)]).per_core[0]
             );
-            for batch in [2u32, 3, 64] {
+            for batch in [1u32, 2, 3, 64] {
                 let cov = format!(
                     "{:?}",
                     run_coverage_with_batch(&cfg, &trace, sys.build(DEGREE).as_mut(), 0, batch)
                 );
                 assert_eq!(
-                    cov_scalar, cov,
+                    cov_one, cov,
                     "{label} on {name}: coverage diverged at batch {batch}"
                 );
                 let tim = format!(
@@ -168,21 +165,16 @@ fn batched_engines_match_scalar_on_degenerate_traces() {
                     run_timing_with_batch(&cfg, &trace, sys.build(DEGREE).as_mut(), 0, batch)
                 );
                 assert_eq!(
-                    tim_scalar, tim,
+                    tim_one, tim,
                     "{label} on {name}: timing diverged at batch {batch}"
                 );
-                let multi = format!(
+                let one_core_tim = format!(
                     "{:?}",
-                    run_multicore_with_batch(
-                        &one_core,
-                        vec![trace.clone()],
-                        vec![sys.build(DEGREE)],
-                        batch
-                    )
+                    run_timing_with_batch(&one_core, &trace, sys.build(DEGREE).as_mut(), 0, batch)
                 );
                 assert_eq!(
-                    multi_scalar, multi,
-                    "{label} on {name}: multicore diverged at batch {batch}"
+                    multi, one_core_tim,
+                    "{label} on {name}: one-core multicore diverged from timing at batch {batch}"
                 );
             }
         }

@@ -136,11 +136,11 @@ fn figures_are_byte_identical_at_any_batch_size() {
         observe::set_batch_override(None);
         out
     };
-    let scalar = run(1);
+    let one = run(1);
     for batch in [2, 7, 64] {
-        let batched = run(batch);
         assert_eq!(
-            scalar, batched,
+            one,
+            run(batch),
             "figure output drifted between batch 1 and batch {batch}"
         );
     }
@@ -157,21 +157,46 @@ fn telemetry_json_is_byte_identical_at_any_batch_size() {
     let sweep = |batch| {
         observe::set_batch_override(Some(batch));
         observe::set_epoch_override(Some(5_000));
+        observe::set_trace_override(Some(4_096));
         observe::drain(); // discard anything a previous test left behind
-        let tables = fig13(&scale);
+        let _ = observe::drain_traces();
+        let mut tables: Vec<String> = fig13(&scale).iter().map(|t| format!("{t}")).collect();
+        tables.push(format!("{}", fig14(&scale)));
         let reports = observe::drain();
+        let traces = observe::drain_traces();
         observe::set_batch_override(None);
         observe::set_epoch_override(None);
-        assert!(!reports.is_empty(), "observed fig13 produced no telemetry");
-        (
-            tables.iter().map(|t| format!("{t}")).collect::<Vec<_>>(),
-            observe::aggregate_json(&reports),
-        )
+        observe::set_trace_override(None);
+        assert!(
+            !reports.is_empty(),
+            "observed figures produced no telemetry"
+        );
+        assert!(!traces.is_empty(), "traced figures produced no traces");
+        let trace_bytes: Vec<(String, Vec<u8>)> = traces
+            .iter()
+            .map(|t| {
+                (
+                    observe::trace_filename(&t.meta),
+                    t.recorder.to_bytes(&t.meta),
+                )
+            })
+            .collect();
+        (tables, observe::aggregate_json(&reports), trace_bytes)
     };
-    let scalar = sweep(1);
-    let batched = sweep(64);
-    assert_eq!(scalar.1, batched.1, "telemetry drifted between batch sizes");
-    assert_eq!(scalar.0, batched.0, "figures drifted with telemetry on");
+    let one = sweep(1);
+    for batch in [7, 64] {
+        let other = sweep(batch);
+        assert_eq!(one.1, other.1, "telemetry drifted at batch {batch}");
+        assert_eq!(one.0, other.0, "figures drifted with observation on");
+        assert_eq!(one.2.len(), other.2.len(), "trace set drifted");
+        for ((name_a, bytes_a), (name_b, bytes_b)) in one.2.iter().zip(&other.2) {
+            assert_eq!(name_a, name_b, "trace set drifted at batch {batch}");
+            assert!(
+                bytes_a == bytes_b,
+                "{name_a}: trace bytes drifted at batch {batch}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -131,14 +131,37 @@ if [ "${1:-}" != "--fast" ]; then
     fi
 
     mark batched-parity
-    echo "==> batched-vs-scalar parity (DOMINO_SKIP_CHECK=1 to skip)"
+    echo "==> batch parity: results must not depend on the step size (DOMINO_SKIP_CHECK=1 to skip)"
     if [ "${DOMINO_SKIP_CHECK:-0}" = "1" ]; then
         echo "    skipped (DOMINO_SKIP_CHECK=1)"
     else
         # Every roster system, every generator family, batch 7 and 64:
-        # the batched SoA engines must be byte-identical to scalar.
+        # each engine's reports must equal its one-event-step reports.
         cargo run --release -q -p domino-check -- --batch-parity \
             --events 1200 --out check-failures
+        # Observed figures at batch 1 and at the default batch: tables,
+        # telemetry JSON and flight-recorder traces must be identical.
+        parity_dir=$(mktemp -d)
+        trap 'rm -rf "$smoke_dir" "${bench_dir:-}" "${rivals_out:-}" "${trace_dir:-}" "${check_dir:-}" "$parity_dir"' EXIT
+        for batch in 1 default; do
+            out="$parity_dir/$batch"
+            if [ "$batch" = 1 ]; then set_batch="--batch 1"; else set_batch=""; fi
+            # shellcheck disable=SC2086 # set_batch is empty or two words
+            if ! cargo run --release -q --example figures -- 20000 --jobs 2 \
+                --epoch 5000 --trace 4096 $set_batch "$out" >"$out.txt" 2>"$out.err"; then
+                cat "$out.err"
+                exit 1
+            fi
+            (cd "$out" && ls telemetry_*.json TELEMETRY_sweep.json trace_*.bin) >"$out.list"
+        done
+        cmp "$parity_dir/1.txt" "$parity_dir/default.txt"
+        cmp "$parity_dir/1.list" "$parity_dir/default.list"
+        while read -r f; do
+            cmp "$parity_dir/1/$f" "$parity_dir/default/$f"
+        done <"$parity_dir/default.list"
+        echo "    observed figures identical at batch 1 and the default" \
+            "($(wc -l <"$parity_dir/default.list") files)"
+        rm -rf "$parity_dir"
     fi
 
     mark stream-parity
