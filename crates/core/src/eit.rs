@@ -265,7 +265,7 @@ impl RowSlab {
                 // super-entry stays at its old LRU position, so capacity
                 // evictions later pick the wrong victim.
                 #[cfg(domino_mutate)]
-                let skip_promotion = crate::mutate_active("eit_skip_promotion");
+                let skip_promotion = domino_telemetry::mutate_active("eit_skip_promotion");
                 #[cfg(not(domino_mutate))]
                 let skip_promotion = false;
                 if skip_promotion {

@@ -20,17 +20,6 @@
 //!   every prefetcher in the reproduction implements, including the Domino
 //!   core library.
 
-/// Whether the named injected bug is active. Only compiled under
-/// `--cfg domino_mutate` (the `domino-check --self-test` build); the
-/// selected mutation comes from the `DOMINO_MUTATE` environment
-/// variable, so one mutant binary can replay every known bug.
-#[cfg(domino_mutate)]
-pub(crate) fn mutate_active(name: &str) -> bool {
-    std::env::var("DOMINO_MUTATE")
-        .map(|v| v == name)
-        .unwrap_or(false)
-}
-
 pub mod cache;
 pub mod dram;
 pub mod history;

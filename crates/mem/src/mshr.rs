@@ -182,7 +182,7 @@ impl MshrFile {
         // boundary as exclusive, leaking registers whose miss completes
         // exactly at `now`.
         #[cfg(domino_mutate)]
-        let exclusive = crate::mutate_active("mshr_retire_boundary");
+        let exclusive = domino_telemetry::mutate_active("mshr_retire_boundary");
         #[cfg(not(domino_mutate))]
         let exclusive = false;
         while let Some(&(t, slot)) = self.heap.first() {

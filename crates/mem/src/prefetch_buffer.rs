@@ -113,7 +113,7 @@ impl PrefetchBuffer {
         // happens but is never counted, silently deflating the
         // overprediction statistics.
         #[cfg(domino_mutate)]
-        let count_eviction = !crate::mutate_active("buffer_missing_evict_count");
+        let count_eviction = !domino_telemetry::mutate_active("buffer_missing_evict_count");
         #[cfg(not(domino_mutate))]
         let count_eviction = true;
         let victim = if self.entries.len() == self.capacity {
@@ -144,7 +144,7 @@ impl PrefetchBuffer {
         // Injected bug for the checker self-test: the hit is counted but
         // the entry stays resident, so it can be hit or evicted again.
         #[cfg(domino_mutate)]
-        if crate::mutate_active("buffer_sticky_take") {
+        if domino_telemetry::mutate_active("buffer_sticky_take") {
             return self.entries.get(pos).copied();
         }
         self.entries.remove(pos)

@@ -44,17 +44,6 @@
 //! prefetcher in the `domino` crate, so the evaluation engine treats them
 //! uniformly.
 
-/// Whether the named checker self-test mutation is active. The hooks are
-/// compiled in only under `--cfg domino_mutate`; the selected mutation
-/// comes from the `DOMINO_MUTATE` environment variable, so one mutant
-/// binary can replay every known bug.
-#[cfg(domino_mutate)]
-pub(crate) fn mutate_active(name: &str) -> bool {
-    std::env::var("DOMINO_MUTATE")
-        .map(|v| v == name)
-        .unwrap_or(false)
-}
-
 pub mod adaptive;
 pub mod composite;
 pub mod config;

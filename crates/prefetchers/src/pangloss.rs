@@ -205,7 +205,7 @@ impl Pangloss {
                 // Fan-out full: evict the minimum-frequency edge; ties go
                 // to the lowest slot (the oldest edge).
                 #[cfg(domino_mutate)]
-                let last_min_wins = crate::mutate_active("pangloss_victim_tiebreak");
+                let last_min_wins = domino_telemetry::mutate_active("pangloss_victim_tiebreak");
                 #[cfg(not(domino_mutate))]
                 let last_min_wins = false;
                 let mut victim = 0usize;

@@ -253,7 +253,7 @@ impl Triangel {
         // silently raises the usefulness threshold by one, so PCs sitting
         // exactly at the threshold never train.
         #[cfg(domino_mutate)]
-        if crate::mutate_active("triangel_sampler_off_by_one") {
+        if domino_telemetry::mutate_active("triangel_sampler_off_by_one") {
             return stats.reused > self.cfg.train_threshold;
         }
         stats.reused >= self.cfg.train_threshold

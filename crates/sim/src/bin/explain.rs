@@ -27,7 +27,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use domino_sim::figures::{fig13, Scale};
+use domino_sim::figures::{fig13, Scale, Sweep};
 use domino_sim::observe;
 use domino_telemetry::trace::BUCKET_NAMES;
 use domino_telemetry::{TraceFile, DEFAULT_TRACE_CAPACITY};
@@ -99,14 +99,13 @@ fn main() -> ExitCode {
 /// `dir`, and verifies each file from its on-disk bytes (binary-format
 /// smoke test for CI).
 fn run_smoke(dir: &Path) -> ExitCode {
-    observe::set_trace_override(Some(DEFAULT_TRACE_CAPACITY as u64));
-    let tables = fig13(&Scale {
+    let mut sweep = Sweep::new(Scale {
         events: 20_000,
         seed: 42,
     });
-    observe::set_trace_override(None);
-    drop(tables);
-    let traces = observe::drain_traces();
+    sweep.trace = Some(DEFAULT_TRACE_CAPACITY as u64);
+    fig13(&mut sweep);
+    let traces = sweep.take_traces();
     let paths = match observe::write_traces(dir, &traces) {
         Ok(p) => p,
         Err(e) => {

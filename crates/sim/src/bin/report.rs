@@ -21,7 +21,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use domino_sim::figures::{fig13, Scale};
+use domino_sim::figures::{fig13, Scale, Sweep};
 use domino_sim::observe;
 use domino_sim::report::FigureTable;
 use domino_telemetry::{json, RunReport};
@@ -83,13 +83,13 @@ fn main() -> ExitCode {
 /// Runs a tiny observed Figure 13 sweep and writes its telemetry into
 /// `dir` (schema smoke test for CI).
 fn run_smoke(dir: &Path) -> ExitCode {
-    observe::set_epoch_override(Some(5_000));
-    let tables = fig13(&Scale {
+    let mut sweep = Sweep::new(Scale {
         events: 20_000,
         seed: 42,
     });
-    drop(tables);
-    let reports = observe::drain();
+    sweep.epoch = Some(5_000);
+    fig13(&mut sweep);
+    let reports = sweep.take_reports();
     match observe::write_reports(dir, &reports) {
         Ok(paths) => {
             println!("wrote {} telemetry files to {}", paths.len(), dir.display());

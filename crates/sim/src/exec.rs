@@ -9,69 +9,27 @@
 //! no rayon) while keeping results **deterministic**: they are returned
 //! in submission order regardless of completion order or job count.
 //!
-//! The job count resolves, in priority order, from
-//! [`set_jobs_override`] (used by tests and the `figures` example), the
-//! `DOMINO_JOBS` environment variable, and finally
-//! [`std::thread::available_parallelism`].
+//! The caller passes the job count; figure runs take it from their
+//! [`crate::figures::Sweep`].
 //!
 //! ```
 //! use domino_sim::exec;
-//! let squares = exec::sweep((0..8).map(|i| move || i * i));
+//! let squares = exec::sweep(2, (0..8).map(|i| move || i * i));
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Job-count override set programmatically; 0 means "not set".
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the sweep job count for this process, taking precedence
-/// over `DOMINO_JOBS`. Pass `None` to restore env/host resolution.
-/// Used by the determinism tests and the `--jobs` flag of the figures
-/// example; safer than mutating the environment from threaded code.
-pub fn set_jobs_override(jobs: Option<usize>) {
-    JOBS_OVERRIDE.store(jobs.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// Resolves the number of worker threads a sweep will use: the
-/// [`set_jobs_override`] value if set, else `DOMINO_JOBS` if set and
-/// positive, else the host's available parallelism.
-pub fn jobs() -> usize {
-    let forced = JOBS_OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(val) = std::env::var("DOMINO_JOBS") {
-        if let Ok(n) = val.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Runs every closure of `tasks` and returns their results **in
-/// submission order**, fanning the work across [`jobs`] scoped threads.
+/// submission order**, fanning the work across `jobs` scoped threads
+/// (at least one, at most one per task).
 ///
 /// Workers claim tasks through a shared atomic cursor (dynamic
 /// scheduling: long cells don't straggle behind a static partition) and
 /// each result is written to the slot of its submission index, so the
 /// output is byte-for-byte identical at any job count.
-pub fn sweep<T, F, I>(tasks: I) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-    I: IntoIterator<Item = F>,
-{
-    sweep_with(jobs(), tasks)
-}
-
-/// [`sweep`] with an explicit job count (mainly for tests).
-pub fn sweep_with<T, F, I>(jobs: usize, tasks: I) -> Vec<T>
+pub fn sweep<T, F, I>(jobs: usize, tasks: I) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
@@ -126,34 +84,26 @@ mod tests {
 
     #[test]
     fn preserves_submission_order() {
-        let out = sweep_with(4, (0..64).map(|i| move || i * 3));
+        let out = sweep(4, (0..64).map(|i| move || i * 3));
         assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_worker_matches_parallel() {
-        let serial = sweep_with(1, (0..37).map(|i| move || i * i + 1));
-        let parallel = sweep_with(8, (0..37).map(|i| move || i * i + 1));
+        let serial = sweep(1, (0..37).map(|i| move || i * i + 1));
+        let parallel = sweep(8, (0..37).map(|i| move || i * i + 1));
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn empty_sweep_is_empty() {
-        let out: Vec<u64> = sweep_with(4, Vec::<fn() -> u64>::new());
+        let out: Vec<u64> = sweep(4, Vec::<fn() -> u64>::new());
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_workers_than_tasks() {
-        let out = sweep_with(64, (0..3).map(|i| move || i));
+        let out = sweep(64, (0..3).map(|i| move || i));
         assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn override_takes_precedence() {
-        set_jobs_override(Some(3));
-        assert_eq!(jobs(), 3);
-        set_jobs_override(None);
-        assert!(jobs() >= 1);
     }
 }

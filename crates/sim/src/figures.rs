@@ -1,32 +1,34 @@
 //! Runners regenerating every table and figure of the paper's evaluation.
 //!
-//! Each `figNN` function runs the corresponding experiment at a given
-//! [`Scale`] and returns one or more [`FigureTable`]s that print the same
-//! rows/series the paper plots. `examples/figures.rs` runs them all at
-//! full scale; the benches run them at reduced scale.
+//! Each `figNN` function runs the corresponding experiment on a
+//! [`Sweep`] and returns one or more [`FigureTable`]s that print the
+//! same rows/series the paper plots. `examples/figures.rs` runs them all
+//! at full scale; the benches run them at reduced scale.
 //!
-//! Every runner submits its independent (workload × prefetcher ×
-//! parameter) cells to the parallel executor in [`crate::exec`] and
-//! assembles rows from the deterministically-ordered results, with the
-//! per-(spec, seed, events) trace generated once in
-//! [`crate::trace_cache`] and shared across cells.
+//! Several figures report the same runs: Domino's degree-4 coverage
+//! feeds Figures 6, 13, 15 and 16 and the rivals tables. So a figure
+//! names its cells, and the sweep runs the ones it has not run yet, once
+//! each, on the parallel executor in [`crate::exec`]; figures run through
+//! one sweep share every common cell. The per-(spec, seed, events) trace
+//! is generated once in [`crate::trace_cache`] and shared across cells.
 
-use domino_prefetchers::LookupAnalyzer;
-use domino_sequitur::oracle::{oracle_replay, OracleConfig};
-use domino_telemetry::Telemetry;
+use std::collections::HashMap;
+
+use domino_prefetchers::{LookupAnalyzer, LookupDepthStats};
+use domino_sequitur::oracle::{oracle_replay, OracleConfig, OracleReport};
+use domino_telemetry::{RunReport, Telemetry, TraceMeta};
 use domino_trace::workload::{catalog, WorkloadSpec};
 
 use crate::config::SystemConfig;
-use crate::engine::{run_coverage_observed, run_coverage_warmed, CoverageReport};
+use crate::engine::{
+    baseline_miss_sequence, run_coverage_observed, run_coverage_warmed, CoverageReport,
+};
 use crate::exec;
-use crate::observe;
+use crate::observe::TraceCell;
 use crate::report::FigureTable;
 use crate::roster::System;
-use crate::timing::{run_timing_observed, TimingReport};
-use crate::trace_cache::{shared_miss_sequence, shared_trace};
-
-/// A figure cell: one independent run, boxed for the sweep executor.
-type Job<T> = Box<dyn FnOnce() -> T + Send>;
+use crate::timing::{run_timing_observed, run_timing_warmed, TimingReport};
+use crate::trace_cache::shared_trace;
 
 /// How much trace to simulate per workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,101 +64,279 @@ impl Scale {
     }
 }
 
-/// Runs one coverage cell. A collecting cell runs under
-/// [`observe::telemetry`] and deposits its telemetry report and
-/// flight-recorder trace, if observation is configured; either way the
-/// cell takes the engine's one loop.
-fn coverage_of(
-    system: &SystemConfig,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    sys: System,
-    degree: usize,
-    collect: bool,
-) -> CoverageReport {
-    let trace = shared_trace(spec, scale.events, scale.seed);
-    let mut p = sys.build(degree);
-    let mut tel = cell_telemetry(collect);
-    let r = run_coverage_observed(system, &trace, p.as_mut(), scale.warmup(), &mut tel);
-    deposit_report(tel, spec, scale, sys, "coverage", p.as_ref());
-    r
+/// One simulated run of a figure, keyed by everything its result
+/// depends on besides the sweep's scale. Workloads are indices into
+/// [`catalog::all`]. A coverage or timing cell is observed when its
+/// figure collects observation and the sweep has an epoch or a trace
+/// capacity set; an observed cell deposits its report and trace, so it
+/// is a distinct cell from its unobserved twin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Cell {
+    /// Coverage engine: (workload, system, degree, observed).
+    Coverage(usize, System, usize, bool),
+    /// Timing model: (workload, system, degree, observed).
+    Timing(usize, System, usize, bool),
+    /// Sequitur-oracle replay of the workload's baseline miss sequence.
+    Oracle(usize),
+    /// Lookup-depth analysis (depths 1..=5) of the same miss sequence.
+    Lookup(usize),
 }
 
-/// [`coverage_of`] for the timing engine.
-fn timing_of(
-    system: &SystemConfig,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    sys: System,
-    degree: usize,
-    collect: bool,
-) -> TimingReport {
-    let trace = shared_trace(spec, scale.events, scale.seed);
-    let mut p = sys.build(degree);
-    let mut tel = cell_telemetry(collect);
-    let r = run_timing_observed(system, &trace, p.as_mut(), scale.warmup(), &mut tel);
-    deposit_report(tel, spec, scale, sys, "timing", p.as_ref());
-    r
+/// A finished cell's result.
+#[derive(Debug)]
+enum Outcome {
+    Coverage(CoverageReport),
+    Timing(TimingReport),
+    Oracle(OracleReport),
+    Lookup(LookupDepthStats),
 }
 
-/// The telemetry handle of a figure cell: the configured observation
-/// for collecting cells, off for the rest.
-fn cell_telemetry(collect: bool) -> Telemetry {
-    if collect {
-        observe::telemetry()
-    } else {
-        Telemetry::off()
+impl Outcome {
+    fn as_coverage(&self) -> &CoverageReport {
+        match self {
+            Outcome::Coverage(r) => r,
+            _ => unreachable!("not a coverage cell"),
+        }
+    }
+
+    fn as_timing(&self) -> &TimingReport {
+        match self {
+            Outcome::Timing(r) => r,
+            _ => unreachable!("not a timing cell"),
+        }
+    }
+
+    fn as_oracle(&self) -> &OracleReport {
+        match self {
+            Outcome::Oracle(r) => r,
+            _ => unreachable!("not an oracle cell"),
+        }
+    }
+
+    fn as_lookup(&self) -> &LookupDepthStats {
+        match self {
+            Outcome::Lookup(r) => r,
+            _ => unreachable!("not a lookup cell"),
+        }
     }
 }
 
-/// Labels a finished telemetry report with its cell identity and the
-/// prefetcher's end-of-run counters, and deposits it in the collector.
-/// A flight-recorder trace, if one was enabled, is detached first and
-/// deposited separately — the epoch report is only emitted when epoch
-/// telemetry itself is on, so trace-only runs produce no empty JSON.
-fn deposit_report(
-    mut tel: Telemetry,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    sys: System,
-    kind: &str,
-    prefetcher: &dyn domino_mem::interface::Prefetcher,
-) {
-    if let Some(recorder) = tel.take_tracer() {
-        let meta = domino_telemetry::TraceMeta {
+/// What a finished cell hands back: its outcome, plus an observed
+/// cell's labelled telemetry report and flight-recorder trace.
+type Ran = (Outcome, Option<RunReport>, Option<TraceCell>);
+
+impl Cell {
+    fn workload(self) -> usize {
+        match self {
+            Cell::Coverage(w, ..) | Cell::Timing(w, ..) | Cell::Oracle(w) | Cell::Lookup(w) => w,
+        }
+    }
+
+    /// Runs the cell on `spec`. An observed cell runs under the sweep's
+    /// epoch and trace capacity; either way it takes the engine's one
+    /// loop.
+    fn simulate(
+        self,
+        spec: &WorkloadSpec,
+        scale: &Scale,
+        epoch: Option<u64>,
+        trace: Option<u64>,
+    ) -> Ran {
+        let cfg = SystemConfig::paper();
+        let (sys, degree, observed, kind) = match self {
+            Cell::Coverage(_, sys, degree, observed) => (sys, degree, observed, "coverage"),
+            Cell::Timing(_, sys, degree, observed) => (sys, degree, observed, "timing"),
+            Cell::Oracle(_) => return (Outcome::Oracle(oracle_of(&cfg, spec, scale)), None, None),
+            Cell::Lookup(_) => {
+                let mut analyzer = LookupAnalyzer::new(5);
+                for v in miss_sequence(&cfg, spec, scale) {
+                    analyzer.push(domino_trace::addr::LineAddr::new(v));
+                }
+                return (Outcome::Lookup(analyzer.stats().clone()), None, None);
+            }
+        };
+        let mut tel = match epoch.filter(|_| observed) {
+            Some(n) => Telemetry::with_epoch(n),
+            None => Telemetry::off(),
+        };
+        if let Some(cap) = trace.filter(|_| observed) {
+            tel.enable_trace(cap as usize);
+        }
+        let events = shared_trace(spec, scale.events, scale.seed);
+        let mut p = sys.build(degree);
+        let warmup = scale.warmup();
+        let outcome = if kind == "coverage" {
+            Outcome::Coverage(run_coverage_observed(
+                &cfg,
+                &events,
+                p.as_mut(),
+                warmup,
+                &mut tel,
+            ))
+        } else {
+            Outcome::Timing(run_timing_observed(
+                &cfg,
+                &events,
+                p.as_mut(),
+                warmup,
+                &mut tel,
+            ))
+        };
+        let meta = TraceMeta {
             workload: spec.name.clone(),
             component: sys.label(),
             kind: kind.to_string(),
             events: scale.events as u64,
             seed: scale.seed,
-            warmup: scale.warmup() as u64,
+            warmup: warmup as u64,
         };
-        observe::record_trace(meta, recorder);
+        let recorded = tel.take_tracer().map(|recorder| TraceCell {
+            meta: meta.clone(),
+            recorder,
+        });
+        // The epoch report exists only when epoch telemetry itself is
+        // on, so trace-only runs produce no empty JSON. The engines
+        // flush the partial tail themselves, so the finish closure
+        // never runs.
+        let report = tel.is_on().then(|| {
+            let mut report = tel.finish(|_| {});
+            report.workload = meta.workload;
+            report.component = meta.component;
+            report.kind = meta.kind;
+            report.events = meta.events;
+            report.seed = meta.seed;
+            report.warmup = meta.warmup;
+            p.emit_counters(&mut |name: &str, value: u64| {
+                report.counters.push((name.to_string(), value));
+            });
+            report
+        });
+        (outcome, report, recorded)
     }
-    if !tel.is_on() {
-        return;
-    }
-    // The engines flush the partial tail themselves, so the finish
-    // closure never runs.
-    let mut report = tel.finish(|_| {});
-    report.workload = spec.name.clone();
-    report.component = sys.label();
-    report.kind = kind.to_string();
-    report.events = scale.events as u64;
-    report.seed = scale.seed;
-    report.warmup = scale.warmup() as u64;
-    prefetcher.emit_counters(&mut |name: &str, value: u64| {
-        report.counters.push((name.to_string(), value));
-    });
-    observe::record(report);
 }
 
-fn oracle_of(
-    system: &SystemConfig,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-) -> domino_sequitur::OracleReport {
-    let seq = shared_miss_sequence(system, spec, scale.events, scale.seed);
+/// The explicit state of a figure run: the scale, worker count and
+/// observation settings every figure reads, the cells finished so far,
+/// and the reports and traces the observed ones deposited. Figures run
+/// through one sweep share their common cells; a figure that is timed
+/// or repeated on its own takes a [`Sweep::fresh`] one. The scale is
+/// fixed at construction, since finished cells are kept for it; set
+/// `epoch` and `trace` before the first figure runs.
+#[derive(Debug)]
+pub struct Sweep {
+    scale: Scale,
+    /// Worker threads for each batch of cells (see [`exec::sweep`]).
+    pub jobs: usize,
+    /// Telemetry epoch length of observed cells, in L1 misses; `None`
+    /// is off.
+    pub epoch: Option<u64>,
+    /// Flight-recorder ring capacity of observed cells; `None` is off.
+    pub trace: Option<u64>,
+    done: HashMap<Cell, Outcome>,
+    reports: Vec<RunReport>,
+    traces: Vec<TraceCell>,
+}
+
+/// A positive integer from the environment variable `name`, if set.
+fn env_count(name: &str) -> Option<u64> {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .filter(|&n| n > 0)
+}
+
+impl Sweep {
+    /// A sweep at `scale` with nothing run yet. The job count comes from
+    /// `DOMINO_JOBS`, else the host's available parallelism; the epoch
+    /// from `DOMINO_EPOCH` and the trace capacity from `DOMINO_TRACE`
+    /// (unset or 0 is off). Callers overwrite the fields from their own
+    /// flags.
+    pub fn new(scale: Scale) -> Self {
+        let host = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        Sweep {
+            scale,
+            jobs: env_count("DOMINO_JOBS").map_or_else(host, |n| n as usize),
+            epoch: env_count("DOMINO_EPOCH"),
+            trace: env_count("DOMINO_TRACE"),
+            done: HashMap::new(),
+            reports: Vec::new(),
+            traces: Vec::new(),
+        }
+    }
+
+    /// A sweep with this one's settings and nothing run yet.
+    pub fn fresh(&self) -> Self {
+        let mut sweep = Sweep::new(self.scale);
+        (sweep.jobs, sweep.epoch, sweep.trace) = (self.jobs, self.epoch, self.trace);
+        sweep
+    }
+
+    /// Whether observed cells record anything (an epoch or a trace
+    /// capacity is set).
+    pub fn observing(&self) -> bool {
+        self.epoch.is_some() || self.trace.is_some()
+    }
+
+    /// Takes the reports deposited so far, sorted by (workload,
+    /// component, kind): the order, like the bytes, is independent of
+    /// the job count.
+    pub fn take_reports(&mut self) -> Vec<RunReport> {
+        let mut out = std::mem::take(&mut self.reports);
+        out.sort_by(|a, b| {
+            (&a.workload, &a.component, &a.kind).cmp(&(&b.workload, &b.component, &b.kind))
+        });
+        out
+    }
+
+    /// Takes the flight-recorder traces deposited so far, sorted like
+    /// [`Sweep::take_reports`].
+    pub fn take_traces(&mut self) -> Vec<TraceCell> {
+        let mut out = std::mem::take(&mut self.traces);
+        out.sort_by(|a, b| {
+            let (a, b) = (&a.meta, &b.meta);
+            (&a.workload, &a.component, &a.kind).cmp(&(&b.workload, &b.component, &b.kind))
+        });
+        out
+    }
+
+    /// Runs the cells `row(w)` names for every catalog workload `w` —
+    /// the ones not finished yet, each distinct one once, across `jobs`
+    /// workers — and returns each workload's name with its row's
+    /// outcomes, in catalog order.
+    fn rows(&mut self, row: impl Fn(usize) -> Vec<Cell>) -> Vec<(String, Vec<&Outcome>)> {
+        let specs = catalog::all();
+        let rows: Vec<Vec<Cell>> = (0..specs.len()).map(row).collect();
+        let mut todo: Vec<Cell> = Vec::new();
+        for &cell in rows.iter().flatten() {
+            if !self.done.contains_key(&cell) && !todo.contains(&cell) {
+                todo.push(cell);
+            }
+        }
+        let (scale, epoch, trace) = (self.scale, self.epoch, self.trace);
+        let tasks = todo.iter().map(|&cell| {
+            let spec = specs[cell.workload()].clone();
+            move || cell.simulate(&spec, &scale, epoch, trace)
+        });
+        for (cell, (outcome, report, recorded)) in todo.iter().zip(exec::sweep(self.jobs, tasks)) {
+            self.reports.extend(report);
+            self.traces.extend(recorded);
+            self.done.insert(*cell, outcome);
+        }
+        specs
+            .into_iter()
+            .zip(rows)
+            .map(|(spec, row)| (spec.name, row.iter().map(|c| &self.done[c]).collect()))
+            .collect()
+    }
+}
+
+/// The L1-filtered baseline miss sequence of `spec`'s trace.
+fn miss_sequence(system: &SystemConfig, spec: &WorkloadSpec, scale: &Scale) -> Vec<u64> {
+    baseline_miss_sequence(system, &shared_trace(spec, scale.events, scale.seed))
+}
+
+fn oracle_of(system: &SystemConfig, spec: &WorkloadSpec, scale: &Scale) -> OracleReport {
+    let seq = miss_sequence(system, spec, scale);
     // The warmup is defined in accesses; misses are the large majority of
     // accesses in these models, so scale the prefix by the miss ratio.
     let warmup = (scale.warmup() as f64 * seq.len() as f64 / scale.events.max(1) as f64) as usize;
@@ -171,32 +351,28 @@ fn oracle_of(
 
 /// Figure 1 — read-miss coverage of STMS and ISB (unlimited storage)
 /// versus the Sequitur-oracle opportunity, prefetch degree 1.
-pub fn fig01(scale: &Scale) -> FigureTable {
-    let system = SystemConfig::paper();
-    let scale = *scale;
+pub fn fig01(sweep: &mut Sweep) -> FigureTable {
     let mut t = FigureTable::new(
         "Figure 1 — miss coverage vs temporal opportunity (degree 1)",
         "workload",
         vec!["ISB".into(), "STMS".into(), "Opportunity".into()],
     );
     t.percent = true;
-    let specs = catalog::all();
-    let mut jobs: Vec<Job<f64>> = Vec::new();
-    for spec in &specs {
-        for sys in [System::Isb, System::Stms] {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                coverage_of(&system, &spec, &scale, sys, 1, false).coverage()
-            }));
-        }
-        let spec = spec.clone();
-        jobs.push(Box::new(move || {
-            oracle_of(&system, &spec, &scale).coverage()
-        }));
-    }
-    let results = exec::sweep(jobs);
-    for (spec, row) in specs.iter().zip(results.chunks(3)) {
-        t.push_row(spec.name.clone(), row.to_vec());
+    for (name, row) in sweep.rows(|w| {
+        vec![
+            Cell::Coverage(w, System::Isb, 1, false),
+            Cell::Coverage(w, System::Stms, 1, false),
+            Cell::Oracle(w),
+        ]
+    }) {
+        t.push_row(
+            name,
+            vec![
+                row[0].as_coverage().coverage(),
+                row[1].as_coverage().coverage(),
+                row[2].as_oracle().coverage(),
+            ],
+        );
     }
     t.push_mean_row("Average");
     t
@@ -204,73 +380,44 @@ pub fn fig01(scale: &Scale) -> FigureTable {
 
 /// Figure 2 — average stream length with STMS, Digram, and the Sequitur
 /// oracle ("a stream is the sequence of consecutive correct prefetches").
-pub fn fig02(scale: &Scale) -> FigureTable {
-    let system = SystemConfig::paper();
-    let scale = *scale;
+pub fn fig02(sweep: &mut Sweep) -> FigureTable {
     let mut t = FigureTable::new(
         "Figure 2 — average stream length",
         "workload",
         vec!["STMS".into(), "Digram".into(), "Sequitur".into()],
     );
-    let specs = catalog::all();
-    let mut jobs: Vec<Job<f64>> = Vec::new();
-    for spec in &specs {
-        for sys in [System::Stms, System::Digram] {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                coverage_of(&system, &spec, &scale, sys, 1, false).mean_stream_length()
-            }));
-        }
-        let spec = spec.clone();
-        jobs.push(Box::new(move || {
-            oracle_of(&system, &spec, &scale).mean_stream_length()
-        }));
-    }
-    let results = exec::sweep(jobs);
-    for (spec, row) in specs.iter().zip(results.chunks(3)) {
-        t.push_row(spec.name.clone(), row.to_vec());
+    for (name, row) in sweep.rows(|w| {
+        vec![
+            Cell::Coverage(w, System::Stms, 1, false),
+            Cell::Coverage(w, System::Digram, 1, false),
+            Cell::Oracle(w),
+        ]
+    }) {
+        t.push_row(
+            name,
+            vec![
+                row[0].as_coverage().mean_stream_length(),
+                row[1].as_coverage().mean_stream_length(),
+                row[2].as_oracle().mean_stream_length(),
+            ],
+        );
     }
     t.push_mean_row("Average");
     t
 }
 
-fn lookup_stats(
-    system: &SystemConfig,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    max_depth: usize,
-) -> domino_prefetchers::LookupDepthStats {
-    let seq = shared_miss_sequence(system, spec, scale.events, scale.seed);
-    let mut analyzer = LookupAnalyzer::new(max_depth);
-    for &v in seq.iter() {
-        analyzer.push(domino_trace::addr::LineAddr::new(v));
-    }
-    analyzer.stats().clone()
-}
-
 /// Shared body of Figures 3 and 4: one lookup-depth analysis per
-/// workload, fanned across the executor.
+/// workload, run once per sweep for both figures.
 fn lookup_depth_table(
-    scale: &Scale,
+    sweep: &mut Sweep,
     title: &str,
-    extract: fn(&domino_prefetchers::LookupDepthStats) -> Vec<f64>,
+    extract: fn(&LookupDepthStats) -> Vec<f64>,
 ) -> FigureTable {
-    let system = SystemConfig::paper();
-    let scale = *scale;
     let cols: Vec<String> = (1..=5).map(|k| format!("{k}-addr")).collect();
     let mut t = FigureTable::new(title, "workload", cols);
     t.percent = true;
-    let specs = catalog::all();
-    let jobs: Vec<Job<Vec<f64>>> = specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            Box::new(move || extract(&lookup_stats(&system, &spec, &scale, 5))) as Job<Vec<f64>>
-        })
-        .collect();
-    let results = exec::sweep(jobs);
-    for (spec, row) in specs.iter().zip(results) {
-        t.push_row(spec.name.clone(), row);
+    for (name, row) in sweep.rows(|w| vec![Cell::Lookup(w)]) {
+        t.push_row(name, extract(row[0].as_lookup()));
     }
     t.push_mean_row("Average");
     t
@@ -278,26 +425,24 @@ fn lookup_depth_table(
 
 /// Figure 3 — fraction of matching lookups that predict correctly, as a
 /// function of lookup depth (1..=5).
-pub fn fig03(scale: &Scale) -> FigureTable {
+pub fn fig03(sweep: &mut Sweep) -> FigureTable {
     lookup_depth_table(
-        scale,
+        sweep,
         "Figure 3 — P(correct | match) by lookup depth",
         |stats| stats.correct_given_match(),
     )
 }
 
 /// Figure 4 — fraction of lookups that find a match, by lookup depth.
-pub fn fig04(scale: &Scale) -> FigureTable {
-    lookup_depth_table(scale, "Figure 4 — P(match) by lookup depth", |stats| {
+pub fn fig04(sweep: &mut Sweep) -> FigureTable {
+    lookup_depth_table(sweep, "Figure 4 — P(match) by lookup depth", |stats| {
         stats.match_fractions()
     })
 }
 
 /// Figure 5 — coverage and overpredictions of the recursive multi-depth
 /// prefetcher for maximum depths 1..=5 (degree 1, unlimited storage).
-pub fn fig05(scale: &Scale) -> Vec<FigureTable> {
-    let system = SystemConfig::paper();
-    let scale = *scale;
+pub fn fig05(sweep: &mut Sweep) -> Vec<FigureTable> {
     let cols: Vec<String> = (1..=5).map(|k| format!("N={k}")).collect();
     let mut cov = FigureTable::new(
         "Figure 5a — coverage by maximum lookup depth (degree 1)",
@@ -311,21 +456,17 @@ pub fn fig05(scale: &Scale) -> Vec<FigureTable> {
         cols,
     );
     over.percent = true;
-    let specs = catalog::all();
-    let mut jobs: Vec<Job<(f64, f64)>> = Vec::new();
-    for spec in &specs {
-        for n in 1..=5 {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                let r = coverage_of(&system, &spec, &scale, System::MultiDepth(n), 1, false);
-                (r.coverage(), r.overprediction_rate())
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
-    for (spec, cells) in specs.iter().zip(results.chunks(5)) {
-        cov.push_row(spec.name.clone(), cells.iter().map(|c| c.0).collect());
-        over.push_row(spec.name.clone(), cells.iter().map(|c| c.1).collect());
+    for (name, row) in sweep.rows(|w| {
+        (1..=5)
+            .map(|n| Cell::Coverage(w, System::MultiDepth(n), 1, false))
+            .collect()
+    }) {
+        let reports = row.iter().map(|o| o.as_coverage());
+        cov.push_row(
+            name.clone(),
+            reports.clone().map(|r| r.coverage()).collect(),
+        );
+        over.push_row(name, reports.map(|r| r.overprediction_rate()).collect());
     }
     cov.push_mean_row("Average");
     over.push_mean_row("Average");
@@ -334,10 +475,8 @@ pub fn fig05(scale: &Scale) -> Vec<FigureTable> {
 
 /// Figure 6 — stream-start timeliness: serial metadata round trips (and
 /// the implied nanoseconds) before a stream's first prefetch.
-pub fn fig06(scale: &Scale) -> FigureTable {
-    let system = SystemConfig::paper();
-    let scale = *scale;
-    let lat = system.memory.latency_ns;
+pub fn fig06(sweep: &mut Sweep) -> FigureTable {
+    let lat = SystemConfig::paper().memory.latency_ns;
     let mut t = FigureTable::new(
         "Figure 6 — serial metadata round trips before the first prefetch of a stream",
         "workload",
@@ -348,20 +487,15 @@ pub fn fig06(scale: &Scale) -> FigureTable {
             "Domino ns".into(),
         ],
     );
-    let specs = catalog::all();
-    let mut jobs: Vec<Job<f64>> = Vec::new();
-    for spec in &specs {
-        for sys in [System::Stms, System::Domino] {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                coverage_of(&system, &spec, &scale, sys, 4, false).mean_first_prefetch_trips()
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
-    for (spec, cells) in specs.iter().zip(results.chunks(2)) {
-        let (stms, dom) = (cells[0], cells[1]);
-        t.push_row(spec.name.clone(), vec![stms, dom, stms * lat, dom * lat]);
+    for (name, row) in sweep.rows(|w| {
+        vec![
+            Cell::Coverage(w, System::Stms, 4, false),
+            Cell::Coverage(w, System::Domino, 4, false),
+        ]
+    }) {
+        let stms = row[0].as_coverage().mean_first_prefetch_trips();
+        let dom = row[1].as_coverage().mean_first_prefetch_trips();
+        t.push_row(name, vec![stms, dom, stms * lat, dom * lat]);
     }
     t.push_mean_row("Average");
     t
@@ -369,31 +503,32 @@ pub fn fig06(scale: &Scale) -> FigureTable {
 
 /// Shared body of Figures 9 and 10: Domino coverage over a sweep of one
 /// storage parameter, every (workload × size) cell run in parallel.
+/// These configurations appear in no other figure, so the cells go to
+/// the executor directly.
 fn domino_size_sweep(
-    scale: &Scale,
+    sweep: &Sweep,
     title: &str,
     sizes: &[(usize, &str)],
     cfg_of: fn(usize) -> domino::DominoConfig,
 ) -> FigureTable {
     use domino::Domino;
     let system = SystemConfig::paper();
-    let scale = *scale;
+    let scale = sweep.scale;
     let cols: Vec<String> = sizes.iter().map(|&(_, n)| n.to_string()).collect();
     let mut t = FigureTable::new(title, "workload", cols);
     t.percent = true;
     let specs = catalog::all();
-    let mut jobs: Vec<Job<f64>> = Vec::new();
-    for spec in &specs {
-        for &(size, _) in sizes {
+    let tasks = specs.iter().flat_map(|spec| {
+        sizes.iter().map(move |&(size, _)| {
             let spec = spec.clone();
-            jobs.push(Box::new(move || {
+            move || {
                 let trace = shared_trace(&spec, scale.events, scale.seed);
                 let mut p = Domino::new(cfg_of(size));
                 run_coverage_warmed(&system, &trace, &mut p, scale.warmup()).coverage()
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
+            }
+        })
+    });
+    let results = exec::sweep(sweep.jobs, tasks);
     for (spec, row) in specs.iter().zip(results.chunks(sizes.len())) {
         t.push_row(spec.name.clone(), row.to_vec());
     }
@@ -403,7 +538,7 @@ fn domino_size_sweep(
 
 /// Figure 9 — Domino coverage versus History Table entries (unbounded
 /// EIT), degree 4.
-pub fn fig09(scale: &Scale) -> FigureTable {
+pub fn fig09(sweep: &Sweep) -> FigureTable {
     use domino::DominoConfig;
     let sizes: [(usize, &str); 6] = [
         (1 << 12, "4K"),
@@ -414,7 +549,7 @@ pub fn fig09(scale: &Scale) -> FigureTable {
         (16 << 20, "16M"),
     ];
     domino_size_sweep(
-        scale,
+        sweep,
         "Figure 9 — Domino coverage vs HT entries (EIT unbounded, degree 4)",
         &sizes,
         |entries| DominoConfig {
@@ -427,7 +562,7 @@ pub fn fig09(scale: &Scale) -> FigureTable {
 
 /// Figure 10 — Domino coverage versus EIT rows (HT at its 16 M-entry
 /// paper size), degree 4.
-pub fn fig10(scale: &Scale) -> FigureTable {
+pub fn fig10(sweep: &Sweep) -> FigureTable {
     use domino::{DominoConfig, EitConfig};
     let sizes: [(usize, &str); 6] = [
         (1 << 8, "256"),
@@ -438,7 +573,7 @@ pub fn fig10(scale: &Scale) -> FigureTable {
         (2 << 20, "2M"),
     ];
     domino_size_sweep(
-        scale,
+        sweep,
         "Figure 10 — Domino coverage vs EIT rows (HT = 16 M entries, degree 4)",
         &sizes,
         |rows| DominoConfig {
@@ -453,19 +588,18 @@ pub fn fig10(scale: &Scale) -> FigureTable {
 
 /// Shared body of Figures 11 and 13: coverage and overpredictions for the
 /// full roster at a given degree, plus the Sequitur-oracle opportunity.
-/// With `collect` set, each roster cell also deposits a telemetry report
-/// when an epoch length is configured (Figure 13 is the collection
-/// vehicle: it covers every roster prefetcher at the paper's headline
-/// degree without extra runs).
+/// With `collect` set, each roster cell is observed when the sweep
+/// observes (Figure 13 is the collection vehicle: it covers every roster
+/// prefetcher at the paper's headline degree without extra runs).
 fn roster_comparison(
-    scale: &Scale,
+    sweep: &mut Sweep,
     degree: usize,
     figure: &str,
     collect: bool,
 ) -> Vec<FigureTable> {
-    let system = SystemConfig::paper();
-    let scale = *scale;
-    let mut cols: Vec<String> = System::paper_roster().iter().map(|s| s.label()).collect();
+    let observed = collect && sweep.observing();
+    let roster = System::paper_roster();
+    let mut cols: Vec<String> = roster.iter().map(|s| s.label()).collect();
     cols.push("Sequitur".into());
     let mut cov = FigureTable::new(
         format!("{figure}a — coverage (degree {degree})"),
@@ -479,27 +613,32 @@ fn roster_comparison(
         cols,
     );
     over.percent = true;
-    let specs = catalog::all();
-    let roster = System::paper_roster();
-    let per_row = roster.len() + 1;
-    let mut jobs: Vec<Job<(f64, f64)>> = Vec::new();
-    for spec in &specs {
-        for sys in roster {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                let r = coverage_of(&system, &spec, &scale, sys, degree, collect);
-                (r.coverage(), r.overprediction_rate())
-            }));
-        }
-        let spec = spec.clone();
-        jobs.push(Box::new(move || {
-            (oracle_of(&system, &spec, &scale).coverage(), f64::NAN)
-        }));
-    }
-    let results = exec::sweep(jobs);
-    for (spec, cells) in specs.iter().zip(results.chunks(per_row)) {
-        cov.push_row(spec.name.clone(), cells.iter().map(|c| c.0).collect());
-        over.push_row(spec.name.clone(), cells.iter().map(|c| c.1).collect());
+    for (name, row) in sweep.rows(|w| {
+        let mut cells: Vec<Cell> = roster
+            .iter()
+            .map(|&sys| Cell::Coverage(w, sys, degree, observed))
+            .collect();
+        cells.push(Cell::Oracle(w));
+        cells
+    }) {
+        let (reports, oracle) = row.split_at(roster.len());
+        let reports = reports.iter().map(|o| o.as_coverage());
+        let opportunity = oracle[0].as_oracle().coverage();
+        cov.push_row(
+            name.clone(),
+            reports
+                .clone()
+                .map(|r| r.coverage())
+                .chain([opportunity])
+                .collect(),
+        );
+        over.push_row(
+            name,
+            reports
+                .map(|r| r.overprediction_rate())
+                .chain([f64::NAN])
+                .collect(),
+        );
     }
     cov.push_mean_row("Average");
     over.rows.push("Average".into());
@@ -525,14 +664,12 @@ fn roster_comparison(
 }
 
 /// Figure 11 — the roster at prefetch degree 1.
-pub fn fig11(scale: &Scale) -> Vec<FigureTable> {
-    roster_comparison(scale, 1, "Figure 11", false)
+pub fn fig11(sweep: &mut Sweep) -> Vec<FigureTable> {
+    roster_comparison(sweep, 1, "Figure 11", false)
 }
 
 /// Figure 12 — cumulative histogram of oracle stream lengths.
-pub fn fig12(scale: &Scale) -> FigureTable {
-    let system = SystemConfig::paper();
-    let scale = *scale;
+pub fn fig12(sweep: &mut Sweep) -> FigureTable {
     let bounds = domino_sequitur::histogram::FIG12_BOUNDS;
     let cols: Vec<String> = bounds
         .iter()
@@ -550,38 +687,28 @@ pub fn fig12(scale: &Scale) -> FigureTable {
         cols,
     );
     t.percent = true;
-    let specs = catalog::all();
-    let jobs: Vec<Job<Vec<f64>>> = specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            Box::new(move || {
-                oracle_of(&system, &spec, &scale)
-                    .stream_lengths
-                    .cumulative_fractions()
-            }) as Job<Vec<f64>>
-        })
-        .collect();
-    let results = exec::sweep(jobs);
-    for (spec, row) in specs.iter().zip(results) {
-        t.push_row(spec.name.clone(), row);
+    for (name, row) in sweep.rows(|w| vec![Cell::Oracle(w)]) {
+        t.push_row(
+            name,
+            row[0].as_oracle().stream_lengths.cumulative_fractions(),
+        );
     }
     t.push_mean_row("Average");
     t
 }
 
-/// Figure 13 — the roster at prefetch degree 4. When an epoch length is
-/// configured (see [`crate::observe`]), its cells collect the coverage
-/// telemetry series for every roster prefetcher.
-pub fn fig13(scale: &Scale) -> Vec<FigureTable> {
-    roster_comparison(scale, 4, "Figure 13", true)
+/// Figure 13 — the roster at prefetch degree 4. When the sweep observes
+/// (an epoch or a trace capacity is set), its cells collect the coverage
+/// telemetry series and flight-recorder traces of every roster
+/// prefetcher.
+pub fn fig13(sweep: &mut Sweep) -> Vec<FigureTable> {
+    roster_comparison(sweep, 4, "Figure 13", true)
 }
 
 /// Figure 14 — speedup over the no-prefetcher baseline under the interval
-/// timing model, degree 4.
-pub fn fig14(scale: &Scale) -> FigureTable {
-    let system = SystemConfig::paper();
-    let scale = *scale;
+/// timing model, degree 4. Its cells are observed when the sweep is.
+pub fn fig14(sweep: &mut Sweep) -> FigureTable {
+    let observed = sweep.observing();
     let roster = System::paper_roster();
     let cols: Vec<String> = roster.iter().map(|s| s.label()).collect();
     let mut t = FigureTable::new(
@@ -589,31 +716,17 @@ pub fn fig14(scale: &Scale) -> FigureTable {
         "workload",
         cols,
     );
-    let specs = catalog::all();
-    let per_row = roster.len() + 1;
-    let mut jobs: Vec<Job<TimingReport>> = Vec::new();
-    for spec in &specs {
-        {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                timing_of(&system, &spec, &scale, System::Baseline, 1, true)
-            }));
-        }
-        for sys in roster {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                timing_of(&system, &spec, &scale, sys, 4, true)
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
-    for (spec, cells) in specs.iter().zip(results.chunks(per_row)) {
-        let baseline = &cells[0];
+    for (name, row) in sweep.rows(|w| {
+        let baseline = Cell::Timing(w, System::Baseline, 1, observed);
+        let rest = roster.iter().map(|&sys| Cell::Timing(w, sys, 4, observed));
+        std::iter::once(baseline).chain(rest).collect()
+    }) {
+        let baseline = row[0].as_timing();
         t.push_row(
-            spec.name.clone(),
-            cells[1..]
+            name,
+            row[1..]
                 .iter()
-                .map(|r| r.speedup_over(baseline))
+                .map(|o| o.as_timing().speedup_over(baseline))
                 .collect(),
         );
     }
@@ -624,9 +737,7 @@ pub fn fig14(scale: &Scale) -> FigureTable {
 /// Figure 15 — off-chip traffic overhead of STMS, Digram and Domino over
 /// the baseline, split into incorrect prefetches, metadata updates and
 /// metadata reads (averaged over workloads, degree 4).
-pub fn fig15(scale: &Scale) -> FigureTable {
-    let system = SystemConfig::paper();
-    let scale = *scale;
+pub fn fig15(sweep: &mut Sweep) -> FigureTable {
     let roster = [System::Stms, System::Digram, System::Domino];
     let mut t = FigureTable::new(
         "Figure 15 — off-chip traffic overhead over baseline (degree 4, average of workloads)",
@@ -639,28 +750,23 @@ pub fn fig15(scale: &Scale) -> FigureTable {
         ],
     );
     t.percent = true;
-    let specs = catalog::all();
-    let mut jobs: Vec<Job<(f64, f64, f64)>> = Vec::new();
-    for sys in roster {
-        for spec in &specs {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                let r = coverage_of(&system, &spec, &scale, sys, 4, false);
-                let demand = r.demand_bytes() as f64;
-                (
-                    r.incorrect_prefetch_bytes() as f64 / demand,
-                    r.metadata_write_bytes() as f64 / demand,
-                    r.metadata_read_bytes() as f64 / demand,
-                )
-            }));
+    let rows = sweep.rows(|w| {
+        roster
+            .iter()
+            .map(|&sys| Cell::Coverage(w, sys, 4, false))
+            .collect()
+    });
+    let n = rows.len() as f64;
+    for (i, sys) in roster.iter().enumerate() {
+        let (mut incorrect, mut update, mut read) = (0.0, 0.0, 0.0);
+        for (_, row) in &rows {
+            let r = row[i].as_coverage();
+            let demand = r.demand_bytes() as f64;
+            incorrect += r.incorrect_prefetch_bytes() as f64 / demand;
+            update += r.metadata_write_bytes() as f64 / demand;
+            read += r.metadata_read_bytes() as f64 / demand;
         }
-    }
-    let results = exec::sweep(jobs);
-    let n = specs.len() as f64;
-    for (sys, cells) in roster.iter().zip(results.chunks(specs.len())) {
-        let incorrect = cells.iter().map(|c| c.0).sum::<f64>() / n;
-        let update = cells.iter().map(|c| c.1).sum::<f64>() / n;
-        let read = cells.iter().map(|c| c.2).sum::<f64>() / n;
+        let (incorrect, update, read) = (incorrect / n, update / n, read / n);
         t.push_row(
             sys.label(),
             vec![incorrect, update, read, incorrect + update + read],
@@ -673,11 +779,12 @@ pub fn fig15(scale: &Scale) -> FigureTable {
 /// cores of one workload sharing the LLC and channel, baseline versus
 /// Domino. The paper reports baseline consumption up to 8 GB/s and
 /// Domino utilization between 8.7 % (MapReduce-C) and 32.8 %
-/// (Web Apache) of the 37.5 GB/s channel.
-pub fn bandwidth_utilization(scale: &Scale) -> FigureTable {
+/// (Web Apache) of the 37.5 GB/s channel. No other figure runs these
+/// cells, so they go to the executor directly.
+pub fn bandwidth_utilization(sweep: &Sweep) -> FigureTable {
     use crate::multicore::run_homogeneous;
     let system = SystemConfig::paper();
-    let scale = *scale;
+    let seed = sweep.scale.seed;
     let mut t = FigureTable::new(
         "§V-D — chip bandwidth, 4 cores (GB/s and % of 37.5 GB/s peak)",
         "workload",
@@ -690,18 +797,15 @@ pub fn bandwidth_utilization(scale: &Scale) -> FigureTable {
     );
     // A quarter of the single-core scale per core keeps the total work
     // comparable to the other figures.
-    let events = (scale.events / 2).max(10_000);
+    let events = (sweep.scale.events / 2).max(10_000);
     let specs = catalog::all();
-    let mut jobs: Vec<Job<crate::multicore::MulticoreReport>> = Vec::new();
-    for spec in &specs {
-        for (sys, degree) in [(System::Baseline, 1), (System::Domino, 4)] {
+    let tasks = specs.iter().flat_map(|spec| {
+        [(System::Baseline, 1), (System::Domino, 4)].map(|(sys, degree)| {
             let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                run_homogeneous(&system, &spec, events, scale.seed, sys, degree)
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
+            move || run_homogeneous(&system, &spec, events, seed, sys, degree)
+        })
+    });
+    let results = exec::sweep(sweep.jobs, tasks);
     for (spec, cells) in specs.iter().zip(results.chunks(2)) {
         let (base, dom) = (&cells[0], &cells[1]);
         t.push_row(
@@ -720,29 +824,24 @@ pub fn bandwidth_utilization(scale: &Scale) -> FigureTable {
 
 /// Figure 16 — spatio-temporal prefetching: VLDP, Domino, and the stack
 /// of both (degree 4 coverage).
-pub fn fig16(scale: &Scale) -> FigureTable {
-    let system = SystemConfig::paper();
-    let scale = *scale;
+pub fn fig16(sweep: &mut Sweep) -> FigureTable {
     let mut t = FigureTable::new(
         "Figure 16 — spatio-temporal coverage (degree 4)",
         "workload",
         vec!["VLDP".into(), "Domino".into(), "VLDP+Domino".into()],
     );
     t.percent = true;
-    let specs = catalog::all();
     let roster = [System::Vldp, System::Domino, System::VldpPlusDomino];
-    let mut jobs: Vec<Job<f64>> = Vec::new();
-    for spec in &specs {
-        for sys in roster {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                coverage_of(&system, &spec, &scale, sys, 4, false).coverage()
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
-    for (spec, row) in specs.iter().zip(results.chunks(roster.len())) {
-        t.push_row(spec.name.clone(), row.to_vec());
+    for (name, row) in sweep.rows(|w| {
+        roster
+            .iter()
+            .map(|&sys| Cell::Coverage(w, sys, 4, false))
+            .collect()
+    }) {
+        t.push_row(
+            name,
+            row.iter().map(|o| o.as_coverage().coverage()).collect(),
+        );
     }
     t.push_mean_row("Average");
     t
@@ -752,9 +851,7 @@ pub fn fig16(scale: &Scale) -> FigureTable {
 /// the library, including the classic designs the paper cites as related
 /// work — next-line, PC-stride, GHB \[11\], Markov \[8\], and SMS \[33\] —
 /// under identical conditions at degree 4.
-pub fn extended_roster(scale: &Scale) -> Vec<FigureTable> {
-    let system = SystemConfig::paper();
-    let scale = *scale;
+pub fn extended_roster(sweep: &mut Sweep) -> Vec<FigureTable> {
     let roster = [
         System::NextLine,
         System::Stride,
@@ -781,21 +878,18 @@ pub fn extended_roster(scale: &Scale) -> Vec<FigureTable> {
         cols,
     );
     over.percent = true;
-    let specs = catalog::all();
-    let mut jobs: Vec<Job<(f64, f64)>> = Vec::new();
-    for spec in &specs {
-        for sys in roster {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                let r = coverage_of(&system, &spec, &scale, sys, 4, false);
-                (r.coverage(), r.overprediction_rate())
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
-    for (spec, cells) in specs.iter().zip(results.chunks(roster.len())) {
-        cov.push_row(spec.name.clone(), cells.iter().map(|c| c.0).collect());
-        over.push_row(spec.name.clone(), cells.iter().map(|c| c.1).collect());
+    for (name, row) in sweep.rows(|w| {
+        roster
+            .iter()
+            .map(|&sys| Cell::Coverage(w, sys, 4, false))
+            .collect()
+    }) {
+        let reports = row.iter().map(|o| o.as_coverage());
+        cov.push_row(
+            name.clone(),
+            reports.clone().map(|r| r.coverage()).collect(),
+        );
+        over.push_row(name, reports.map(|r| r.overprediction_rate()).collect());
     }
     cov.push_mean_row("Average");
     over.push_mean_row("Average");
@@ -818,15 +912,15 @@ pub fn rivals_roster() -> [System; 5] {
 /// STMS, Digram, Domino, Pangloss and Triangel compared on coverage,
 /// prefetch accuracy, off-chip metadata traffic per demand byte, and
 /// timing-model speedup across the Table-II workload catalog, all at
-/// degree 4.
+/// degree 4. Its cells are observed when the sweep is; the STMS, Digram
+/// and Domino ones are Figure 13's and Figure 14's.
 ///
 /// The traffic table is the contrast story: Domino (and STMS/Digram)
 /// pay off-chip reads and writes for their reach, while the two on-chip
 /// rivals are structurally at zero — their cost shows up as coverage
 /// lost to their bounded slabs instead.
-pub fn rivals(scale: &Scale) -> Vec<FigureTable> {
-    let system = SystemConfig::paper();
-    let scale = *scale;
+pub fn rivals(sweep: &mut Sweep) -> Vec<FigureTable> {
+    let observed = sweep.observing();
     let roster = rivals_roster();
     let cols: Vec<String> = roster.iter().map(|s| s.label()).collect();
     let mut cov = FigureTable::new("Rivals — coverage (degree 4)", "workload", cols.clone());
@@ -848,45 +942,25 @@ pub fn rivals(scale: &Scale) -> Vec<FigureTable> {
         "workload",
         cols,
     );
-    let specs = catalog::all();
-    // Row layout mirrors Figure 14: the degree-1 baseline timing first,
-    // then one combined coverage+timing cell per rival.
-    let per_row = roster.len() + 1;
-    type RivalCell = (Option<CoverageReport>, TimingReport);
-    let mut jobs: Vec<Job<RivalCell>> = Vec::new();
-    for spec in &specs {
-        {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                (
-                    None,
-                    timing_of(&system, &spec, &scale, System::Baseline, 1, true),
-                )
-            }));
-        }
-        for sys in roster {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                (
-                    Some(coverage_of(&system, &spec, &scale, sys, 4, true)),
-                    timing_of(&system, &spec, &scale, sys, 4, true),
-                )
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
-    for (spec, cells) in specs.iter().zip(results.chunks(per_row)) {
-        let baseline = &cells[0].1;
-        let reports: Vec<&CoverageReport> = cells[1..]
+    // Row layout: the degree-1 baseline timing first (as in Figure 14),
+    // then each rival's coverage, then each rival's timing.
+    for (name, row) in sweep.rows(|w| {
+        let baseline = Cell::Timing(w, System::Baseline, 1, observed);
+        let coverage = roster
             .iter()
-            .map(|c| c.0.as_ref().expect("rival cells carry coverage"))
-            .collect();
-        cov.push_row(
-            spec.name.clone(),
-            reports.iter().map(|r| r.coverage()).collect(),
-        );
+            .map(|&sys| Cell::Coverage(w, sys, 4, observed));
+        let timing = roster.iter().map(|&sys| Cell::Timing(w, sys, 4, observed));
+        std::iter::once(baseline)
+            .chain(coverage)
+            .chain(timing)
+            .collect()
+    }) {
+        let baseline = row[0].as_timing();
+        let (reports, timings) = row[1..].split_at(roster.len());
+        let reports: Vec<&CoverageReport> = reports.iter().map(|o| o.as_coverage()).collect();
+        cov.push_row(name.clone(), reports.iter().map(|r| r.coverage()).collect());
         acc.push_row(
-            spec.name.clone(),
+            name.clone(),
             reports
                 .iter()
                 .map(|r| {
@@ -900,7 +974,7 @@ pub fn rivals(scale: &Scale) -> Vec<FigureTable> {
                 .collect(),
         );
         traffic.push_row(
-            spec.name.clone(),
+            name.clone(),
             reports
                 .iter()
                 .map(|r| {
@@ -910,10 +984,10 @@ pub fn rivals(scale: &Scale) -> Vec<FigureTable> {
                 .collect(),
         );
         speed.push_row(
-            spec.name.clone(),
-            cells[1..]
+            name,
+            timings
                 .iter()
-                .map(|c| c.1.speedup_over(baseline))
+                .map(|o| o.as_timing().speedup_over(baseline))
                 .collect(),
         );
     }
@@ -928,11 +1002,12 @@ pub fn rivals(scale: &Scale) -> Vec<FigureTable> {
 /// *grammar* coverage (fraction of misses inside repeated rules) versus
 /// the longest-stream *oracle* replay the figures use. The two are
 /// independent algorithms over the same sequence; they should agree on
-/// ordering and be close in magnitude.
-pub fn opportunity_methods(scale: &Scale) -> FigureTable {
+/// ordering and be close in magnitude. The oracle here replays without
+/// warmup, so no other figure shares these cells.
+pub fn opportunity_methods(sweep: &Sweep) -> FigureTable {
     use domino_sequitur::{analysis, Sequitur};
     let system = SystemConfig::paper();
-    let scale = *scale;
+    let scale = sweep.scale;
     let mut t = FigureTable::new(
         "Opportunity measures — Sequitur grammar vs longest-stream oracle",
         "workload",
@@ -942,20 +1017,17 @@ pub fn opportunity_methods(scale: &Scale) -> FigureTable {
     // The grammar is O(n) but allocation-heavy; cap its input.
     let cap = scale.events.min(150_000);
     let specs = catalog::all();
-    let jobs: Vec<Job<Vec<f64>>> = specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            Box::new(move || {
-                let seq = shared_miss_sequence(&system, &spec, scale.events, scale.seed);
-                let grammar = Sequitur::from_sequence(seq.iter().copied().take(cap));
-                let g = analysis::grammar_coverage(&grammar);
-                let o = oracle_replay(&seq, &OracleConfig::default()).coverage();
-                vec![g, o]
-            }) as Job<Vec<f64>>
-        })
-        .collect();
-    let results = exec::sweep(jobs);
+    let tasks = specs.iter().map(|spec| {
+        let spec = spec.clone();
+        move || {
+            let seq = miss_sequence(&system, &spec, &scale);
+            let grammar = Sequitur::from_sequence(seq.iter().copied().take(cap));
+            let g = analysis::grammar_coverage(&grammar);
+            let o = oracle_replay(&seq, &OracleConfig::default()).coverage();
+            vec![g, o]
+        }
+    });
+    let results = exec::sweep(sweep.jobs, tasks);
     for (spec, row) in specs.iter().zip(results) {
         t.push_row(spec.name.clone(), row);
     }
@@ -965,10 +1037,12 @@ pub fn opportunity_methods(scale: &Scale) -> FigureTable {
 
 /// MLP sensitivity (the paper's §V-C explanation for Web Search and
 /// Media Streaming): speedup of Domino as a function of the fraction of
-/// dependent (serializing) misses, on the OLTP model.
-pub fn mlp_sensitivity(scale: &Scale) -> FigureTable {
+/// dependent (serializing) misses, on the OLTP model. The mutated
+/// workloads appear in no other figure, so the cells go to the executor
+/// directly.
+pub fn mlp_sensitivity(sweep: &Sweep) -> FigureTable {
     let system = SystemConfig::paper();
-    let scale = *scale;
+    let scale = sweep.scale;
     let fracs = [0.1, 0.3, 0.5, 0.7, 0.9];
     let cols: Vec<String> = fracs.iter().map(|f| format!("dep={f:.1}")).collect();
     let mut t = FigureTable::new(
@@ -976,21 +1050,23 @@ pub fn mlp_sensitivity(scale: &Scale) -> FigureTable {
         "system",
         cols,
     );
-    let mut jobs: Vec<Job<TimingReport>> = Vec::new();
-    for &f in &fracs {
-        for (sys, degree) in [
+    let tasks = fracs.iter().flat_map(|&f| {
+        [
             (System::Baseline, 1),
             (System::Stms, 4),
             (System::Domino, 4),
-        ] {
-            jobs.push(Box::new(move || {
+        ]
+        .map(|(sys, degree)| {
+            move || {
                 let mut spec = catalog::oltp();
                 spec.temporal.dependent_frac = f;
-                timing_of(&system, &spec, &scale, sys, degree, false)
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
+                let trace = shared_trace(&spec, scale.events, scale.seed);
+                let mut p = sys.build(degree);
+                run_timing_warmed(&system, &trace, p.as_mut(), scale.warmup())
+            }
+        })
+    });
+    let results = exec::sweep(sweep.jobs, tasks);
     let mut stms_row = Vec::new();
     let mut domino_row = Vec::new();
     for cells in results.chunks(3) {
@@ -1005,12 +1081,11 @@ pub fn mlp_sensitivity(scale: &Scale) -> FigureTable {
 
 /// Figure 14 with sampling statistics (the paper's SimFlex methodology:
 /// "performance measurements are computed with 95 % confidence", §IV-C):
-/// speedups measured over several workload seeds, reported as mean and
-/// 95 % confidence half-width.
-pub fn fig14_confidence(scale: &Scale, seeds: &[u64]) -> FigureTable {
+/// speedups measured over several workload seeds at `sweep`'s event
+/// count, reported as mean and 95 % confidence half-width. Each seed
+/// runs on its own fresh sweep.
+pub fn fig14_confidence(sweep: &Sweep, seeds: &[u64]) -> FigureTable {
     use crate::stats::Sample;
-    let system = SystemConfig::paper();
-    let scale = *scale;
     let mut t = FigureTable::new(
         format!(
             "Figure 14 with 95% confidence over {} seeds (degree 4)",
@@ -1024,33 +1099,40 @@ pub fn fig14_confidence(scale: &Scale, seeds: &[u64]) -> FigureTable {
             "Domino ±".into(),
         ],
     );
-    let specs = catalog::all();
-    // One job per (workload, seed): the baseline run is computed once and
-    // shared by both prefetchers' speedups for that seed.
-    let mut jobs: Vec<Job<(f64, f64)>> = Vec::new();
-    for spec in &specs {
-        for &seed in seeds {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                let seeded = Scale {
-                    events: scale.events,
-                    seed,
-                };
-                let baseline = timing_of(&system, &spec, &seeded, System::Baseline, 1, false);
-                let stms = timing_of(&system, &spec, &seeded, System::Stms, 4, false);
-                let domino = timing_of(&system, &spec, &seeded, System::Domino, 4, false);
-                (stms.speedup_over(&baseline), domino.speedup_over(&baseline))
-            }));
-        }
-    }
-    let results = exec::sweep(jobs);
-    for (spec, cells) in specs.iter().zip(results.chunks(seeds.len())) {
-        let stms_speedups: Vec<f64> = cells.iter().map(|c| c.0).collect();
-        let domino_speedups: Vec<f64> = cells.iter().map(|c| c.1).collect();
-        let stms = Sample::of(&stms_speedups);
-        let domino = Sample::of(&domino_speedups);
+    // Per seed, per workload: (STMS, Domino) speedup over the seed's
+    // baseline run.
+    let per_seed: Vec<Vec<(f64, f64)>> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut seeded = sweep.fresh();
+            seeded.scale.seed = seed;
+            let speedups = seeded
+                .rows(|w| {
+                    [
+                        (System::Baseline, 1),
+                        (System::Stms, 4),
+                        (System::Domino, 4),
+                    ]
+                    .map(|(sys, degree)| Cell::Timing(w, sys, degree, false))
+                    .to_vec()
+                })
+                .into_iter()
+                .map(|(_, row)| {
+                    let baseline = row[0].as_timing();
+                    (
+                        row[1].as_timing().speedup_over(baseline),
+                        row[2].as_timing().speedup_over(baseline),
+                    )
+                })
+                .collect();
+            speedups
+        })
+        .collect();
+    for (w, spec) in catalog::all().into_iter().enumerate() {
+        let stms = Sample::of(&per_seed.iter().map(|s| s[w].0).collect::<Vec<_>>());
+        let domino = Sample::of(&per_seed.iter().map(|s| s[w].1).collect::<Vec<_>>());
         t.push_row(
-            spec.name.clone(),
+            spec.name,
             vec![stms.mean, stms.ci95, domino.mean, domino.ci95],
         );
     }
@@ -1111,16 +1193,16 @@ pub fn table2() -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> Scale {
-        Scale {
+    fn tiny() -> Sweep {
+        Sweep::new(Scale {
             events: 12_000,
             seed: 7,
-        }
+        })
     }
 
     #[test]
     fn fig01_has_nine_workloads_plus_average() {
-        let t = fig01(&tiny());
+        let t = fig01(&mut tiny());
         assert_eq!(t.rows.len(), 10);
         assert_eq!(t.columns.len(), 3);
         // Opportunity upper-bounds look sane.
@@ -1132,7 +1214,7 @@ mod tests {
 
     #[test]
     fn fig12_rows_are_cumulative() {
-        let t = fig12(&tiny());
+        let t = fig12(&mut tiny());
         for row in &t.values {
             for w in row.windows(2) {
                 assert!(w[1] + 1e-9 >= w[0], "not cumulative: {row:?}");
@@ -1143,7 +1225,7 @@ mod tests {
 
     #[test]
     fn fig06_domino_needs_fewer_trips_than_stms() {
-        let t = fig06(&tiny());
+        let t = fig06(&mut tiny());
         let stms = t.value("Average", "STMS trips").unwrap();
         let dom = t.value("Average", "Domino trips").unwrap();
         assert!(
@@ -1155,10 +1237,10 @@ mod tests {
     #[test]
     fn fig14_confidence_shape_and_bounds() {
         let t = fig14_confidence(
-            &Scale {
+            &Sweep::new(Scale {
                 events: 6_000,
                 seed: 0,
-            },
+            }),
             &[1, 2, 3],
         );
         assert_eq!(t.rows.len(), 10);
@@ -1172,20 +1254,20 @@ mod tests {
 
     #[test]
     fn extended_figures_have_expected_shapes() {
-        let scale = Scale {
+        let mut sweep = Sweep::new(Scale {
             events: 8_000,
             seed: 3,
-        };
-        let roster = extended_roster(&scale);
+        });
+        let roster = extended_roster(&mut sweep);
         assert_eq!(roster.len(), 2);
         assert_eq!(roster[0].columns.len(), 11);
         assert_eq!(roster[0].rows.len(), 10);
-        let opp = opportunity_methods(&scale);
+        let opp = opportunity_methods(&sweep);
         assert_eq!(opp.columns.len(), 2);
-        let mlp = mlp_sensitivity(&Scale {
+        let mlp = mlp_sensitivity(&Sweep::new(Scale {
             events: 6_000,
             seed: 3,
-        });
+        }));
         assert_eq!(mlp.rows.len(), 2);
         assert_eq!(mlp.columns.len(), 5);
     }

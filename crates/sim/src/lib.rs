@@ -13,30 +13,20 @@
 //!   and memory channel (§V-D bandwidth analysis);
 //! * [`roster`] — the evaluated systems of §IV-D as a buildable enum;
 //! * [`figures`] — one runner per paper table/figure, returning printable
-//!   [`report::FigureTable`]s;
-//! * [`observe`] — per-epoch telemetry collection and JSON export for
-//!   figure sweeps (see the `report` binary for rendering);
+//!   [`report::FigureTable`]s from an explicit [`figures::Sweep`] that
+//!   runs each distinct cell once;
+//! * [`observe`] — telemetry and trace export for figure sweeps (see
+//!   the `report` and `explain` binaries for rendering);
 //! * [`report`] — plain-text table rendering (and CSV export);
 //! * [`svg`] — dependency-free bar-chart rendering of any figure table.
 //!
 //! ```no_run
-//! use domino_sim::figures::{fig11, Scale};
+//! use domino_sim::figures::{fig11, Scale, Sweep};
 //!
-//! for table in fig11(&Scale::default()) {
+//! for table in fig11(&mut Sweep::new(Scale::default())) {
 //!     println!("{table}");
 //! }
 //! ```
-
-/// Whether the named injected bug is active. Only compiled under
-/// `--cfg domino_mutate` (the `domino-check --self-test` build); the
-/// selected mutation comes from the `DOMINO_MUTATE` environment
-/// variable, so one mutant binary can replay every known bug.
-#[cfg(domino_mutate)]
-pub(crate) fn mutate_active(name: &str) -> bool {
-    std::env::var("DOMINO_MUTATE")
-        .map(|v| v == name)
-        .unwrap_or(false)
-}
 
 pub mod config;
 pub mod engine;
@@ -58,7 +48,7 @@ pub use engine::{
     run_coverage_streamed, run_coverage_streamed_session, run_coverage_with_batch, CoverageReport,
     CoverageSession,
 };
-pub use figures::Scale;
+pub use figures::{Scale, Sweep};
 pub use multicore::{run_homogeneous, run_multicore, MulticoreReport};
 pub use report::FigureTable;
 pub use roster::System;
@@ -66,4 +56,4 @@ pub use stats::Sample;
 pub use timing::{
     run_timing, run_timing_observed, run_timing_streamed, run_timing_with_batch, TimingReport,
 };
-pub use trace_cache::{shared_file_trace, shared_miss_sequence, shared_trace};
+pub use trace_cache::{shared_file_trace, shared_trace};

@@ -1,40 +1,33 @@
-//! Telemetry collection for figure sweeps.
+//! Telemetry export for figure sweeps, and the event-batch knob.
 //!
-//! Figure runners execute their cells on the parallel executor in
-//! [`crate::exec`]; a cell that runs with telemetry enabled labels its
-//! [`RunReport`] and deposits it here. After the sweep, the harness
-//! [`drain`]s the reports — sorted by (workload, component, kind), so the
-//! output is byte-identical at any job count — and [`write_reports`]
-//! exports one JSON file per cell plus an aggregate `TELEMETRY_sweep.json`.
+//! Figure cells run on a [`crate::figures::Sweep`]; a cell that runs
+//! observed labels its [`RunReport`] and flight-recorder trace and the
+//! sweep keeps them. After the run, the harness takes them — sorted by
+//! (workload, component, kind), so the output is byte-identical at any
+//! job count — and [`write_reports`] exports one JSON file per cell plus
+//! an aggregate `TELEMETRY_sweep.json`; [`write_traces`] writes one
+//! binary trace file per cell.
 //!
-//! Telemetry is opt-in twice over: a run collects nothing unless an epoch
-//! length is set ([`set_epoch_override`] from `--epoch`, or the
-//! `DOMINO_EPOCH` environment variable), and only the runners that opt
-//! into collection (Figure 13's coverage roster, Figure 14's timing
-//! roster) deposit reports. Everything else runs the same loop with a
-//! disabled handle: a few dead branches per L1 miss.
+//! Observation is opt-in twice over: a sweep collects nothing unless it
+//! has an epoch length or a trace capacity (from `--epoch`/`--trace`, or
+//! the `DOMINO_EPOCH`/`DOMINO_TRACE` environment variables), and only
+//! the runners that opt into collection (Figure 13's coverage roster,
+//! Figure 14's timing roster and the rivals tables) observe their cells.
+//! Everything else runs the same loop with a disabled handle: a few dead
+//! branches per L1 miss.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use domino_telemetry::trace::TraceMeta;
-use domino_telemetry::{FlightRecorder, RunReport, Telemetry};
+use domino_telemetry::{FlightRecorder, RunReport};
 
 /// Schema tag of the aggregate sweep file.
 pub const SWEEP_SCHEMA: &str = "domino-telemetry-sweep/1";
 
-/// `--epoch` override; 0 = no override (fall back to the environment),
-/// `u64::MAX` = explicitly off.
-static EPOCH_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// `--trace` override; same encoding as `EPOCH_OVERRIDE` (0 = fall back
-/// to `DOMINO_TRACE`, `u64::MAX` = explicitly off, else ring capacity).
-static TRACE_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// `--batch` override; same encoding again (0 = fall back to
-/// `DOMINO_BATCH`, `u64::MAX` = explicitly one event, else batch size).
+/// `--batch` override; 0 = no override (fall back to `DOMINO_BATCH`),
+/// `u64::MAX` = explicitly one event, else the batch size.
 static BATCH_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 
 /// Default event-batch size. The batch sets only two things: the
@@ -46,12 +39,6 @@ static BATCH_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 /// lines in the host L1.
 pub const DEFAULT_BATCH: u32 = 64;
 
-/// Reports deposited by sweep cells, in completion order.
-static COLLECTED: Mutex<Vec<RunReport>> = Mutex::new(Vec::new());
-
-/// Flight-recorder traces deposited by sweep cells, in completion order.
-static TRACES: Mutex<Vec<TraceCell>> = Mutex::new(Vec::new());
-
 /// One cell's recorded trace: the recorder plus its run labels.
 #[derive(Debug, Clone)]
 pub struct TraceCell {
@@ -59,54 +46,6 @@ pub struct TraceCell {
     pub meta: TraceMeta,
     /// The finished recorder.
     pub recorder: FlightRecorder,
-}
-
-/// Sets (or clears) the epoch-length override. `Some(0)` is normalised
-/// to "explicitly off". Takes precedence over `DOMINO_EPOCH`.
-pub fn set_epoch_override(epoch: Option<u64>) {
-    let coded = match epoch {
-        None => 0,
-        Some(0) => u64::MAX,
-        Some(n) => n,
-    };
-    EPOCH_OVERRIDE.store(coded, Ordering::SeqCst);
-}
-
-/// The effective epoch length: the override if set, else `DOMINO_EPOCH`,
-/// else `None` (telemetry off).
-pub fn epoch() -> Option<u64> {
-    match EPOCH_OVERRIDE.load(Ordering::SeqCst) {
-        0 => std::env::var("DOMINO_EPOCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0),
-        u64::MAX => None,
-        n => Some(n),
-    }
-}
-
-/// Sets (or clears) the flight-recorder capacity override. `Some(0)` is
-/// normalised to "explicitly off". Takes precedence over `DOMINO_TRACE`.
-pub fn set_trace_override(capacity: Option<u64>) {
-    let coded = match capacity {
-        None => 0,
-        Some(0) => u64::MAX,
-        Some(n) => n,
-    };
-    TRACE_OVERRIDE.store(coded, Ordering::SeqCst);
-}
-
-/// The effective flight-recorder ring capacity: the override if set,
-/// else `DOMINO_TRACE`, else `None` (tracing off).
-pub fn trace_capacity() -> Option<u64> {
-    match TRACE_OVERRIDE.load(Ordering::SeqCst) {
-        0 => std::env::var("DOMINO_TRACE")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0),
-        u64::MAX => None,
-        n => Some(n),
-    }
 }
 
 /// Sets (or clears) the event-batch-size override. `Some(0)` and
@@ -133,62 +72,6 @@ pub fn batch_size() -> u32 {
         u64::MAX => 1,
         n => n as u32,
     }
-}
-
-/// Whether any observation (epoch telemetry or tracing) is enabled.
-pub fn observing() -> bool {
-    epoch().is_some() || trace_capacity().is_some()
-}
-
-/// A telemetry handle honouring the effective epoch length and trace
-/// capacity.
-pub fn telemetry() -> Telemetry {
-    let mut tel = match epoch() {
-        Some(n) => Telemetry::with_epoch(n),
-        None => Telemetry::off(),
-    };
-    if let Some(cap) = trace_capacity() {
-        tel.enable_trace(cap as usize);
-    }
-    tel
-}
-
-/// Deposits one labelled run report (called from sweep worker threads).
-pub fn record(report: RunReport) {
-    COLLECTED.lock().expect("collector poisoned").push(report);
-}
-
-/// Deposits one cell's finished flight recorder.
-pub fn record_trace(meta: TraceMeta, recorder: FlightRecorder) {
-    TRACES
-        .lock()
-        .expect("trace collector poisoned")
-        .push(TraceCell { meta, recorder });
-}
-
-/// Takes all deposited reports, sorted by (workload, component, kind) —
-/// a deterministic order independent of sweep scheduling.
-pub fn drain() -> Vec<RunReport> {
-    let mut out = std::mem::take(&mut *COLLECTED.lock().expect("collector poisoned"));
-    out.sort_by(|a, b| {
-        (&a.workload, &a.component, &a.kind).cmp(&(&b.workload, &b.component, &b.kind))
-    });
-    out
-}
-
-/// Takes all deposited traces, sorted like [`drain`] — the per-cell
-/// recorders are deterministic, so trace bytes are identical at any job
-/// count.
-pub fn drain_traces() -> Vec<TraceCell> {
-    let mut out = std::mem::take(&mut *TRACES.lock().expect("trace collector poisoned"));
-    out.sort_by(|a, b| {
-        (&a.meta.workload, &a.meta.component, &a.meta.kind).cmp(&(
-            &b.meta.workload,
-            &b.meta.component,
-            &b.meta.kind,
-        ))
-    });
-    out
 }
 
 /// File-system-safe slug of a label (`Web Search` → `web_search`).
@@ -295,16 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn override_beats_environment_and_clears() {
-        set_epoch_override(Some(123));
-        assert_eq!(epoch(), Some(123));
-        assert_eq!(telemetry().epoch_len(), 123);
-        set_epoch_override(Some(0));
-        assert_eq!(epoch(), None, "Some(0) means explicitly off");
-        set_epoch_override(None);
-    }
-
-    #[test]
     fn batch_override_normalises_to_one_and_clears() {
         set_batch_override(Some(7));
         assert_eq!(batch_size(), 7);
@@ -319,66 +192,21 @@ mod tests {
     }
 
     #[test]
-    fn drain_sorts_reports() {
-        // Drain any leftovers from other tests first (the collector is
-        // process-global).
-        let _ = drain();
-        record(labelled("zeta", "STMS"));
-        record(labelled("alpha", "Domino"));
-        record(labelled("alpha", "Baseline"));
-        let got = drain();
-        let keys: Vec<_> = got
-            .iter()
-            .map(|r| (r.workload.as_str(), r.component.as_str()))
-            .collect();
-        assert_eq!(
-            keys,
-            vec![("alpha", "Baseline"), ("alpha", "Domino"), ("zeta", "STMS")]
-        );
-        assert!(drain().is_empty(), "drain empties the collector");
-    }
-
-    #[test]
     fn filenames_are_slugged() {
         let r = labelled("Web Search", "Domino+NL");
         assert_eq!(
             cell_filename(&r),
             "telemetry_web_search_domino_nl_coverage.json"
         );
-    }
-
-    #[test]
-    fn trace_override_and_collection_roundtrip() {
-        set_trace_override(Some(64));
-        assert_eq!(trace_capacity(), Some(64));
-        assert!(observing());
-        let mut tel = telemetry();
-        assert!(tel.has_tracer());
-        tel.tracer().expect("tracer on").demand_miss(0, 1, false);
-        let meta = |w: &str, c: &str| TraceMeta {
-            workload: w.into(),
-            component: c.into(),
+        let meta = TraceMeta {
+            workload: "zeta".into(),
+            component: "STMS".into(),
             kind: "coverage".into(),
             events: 10,
             seed: 1,
             warmup: 0,
         };
-        let _ = drain_traces();
-        record_trace(meta("zeta", "STMS"), FlightRecorder::new(4));
-        record_trace(meta("alpha", "Domino"), tel.take_tracer().expect("tracer"));
-        let got = drain_traces();
-        let keys: Vec<_> = got
-            .iter()
-            .map(|t| (t.meta.workload.as_str(), t.meta.component.as_str()))
-            .collect();
-        assert_eq!(keys, vec![("alpha", "Domino"), ("zeta", "STMS")]);
-        assert_eq!(got[0].recorder.attribution().demand_misses, 1);
-        assert_eq!(trace_filename(&got[1].meta), "trace_zeta_stms_coverage.bin");
-        assert!(drain_traces().is_empty());
-        set_trace_override(Some(0));
-        assert_eq!(trace_capacity(), None, "Some(0) means explicitly off");
-        assert!(!telemetry().has_tracer());
-        set_trace_override(None);
+        assert_eq!(trace_filename(&meta), "trace_zeta_stms_coverage.bin");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use domino_prefetchers::{
 };
 
 /// Identifies one of the evaluated prefetching systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum System {
     /// No data prefetcher (the paper's baseline).
     Baseline,

@@ -2,10 +2,10 @@
 //! no dependencies, just enough to eyeball a figure next to the paper's.
 //!
 //! ```no_run
-//! use domino_sim::figures::{fig02, Scale};
+//! use domino_sim::figures::{fig02, Scale, Sweep};
 //! use domino_sim::svg::render_bar_chart;
 //!
-//! let table = fig02(&Scale::small());
+//! let table = fig02(&mut Sweep::new(Scale::small()));
 //! std::fs::write("fig02.svg", render_bar_chart(&table)).unwrap();
 //! ```
 

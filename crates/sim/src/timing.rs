@@ -271,7 +271,7 @@ impl<'a> CoreEngine<'a> {
                     // buffer hit is booked as a full miss (the data path
                     // is untouched, only the classification is wrong).
                     #[cfg(domino_mutate)]
-                    let late_as_full = crate::mutate_active("timing_late_as_full");
+                    let late_as_full = domino_telemetry::mutate_active("timing_late_as_full");
                     #[cfg(not(domino_mutate))]
                     let late_as_full = false;
                     if late_as_full {

@@ -32,12 +32,8 @@ use domino_trace::rng::SimRng;
 use domino_trace::stream::{TraceFileError, TraceReader};
 use domino_trace::workload::WorkloadSpec;
 
-use crate::config::SystemConfig;
-use crate::engine::baseline_miss_sequence;
-
 type Key = (String, u64, usize);
 type Cell<T> = Arc<OnceLock<T>>;
-type CellMap<T> = OnceLock<Mutex<HashMap<Key, Cell<T>>>>;
 
 /// One trace entry plus its LRU stamp (the global tick at last lookup).
 struct TraceSlot {
@@ -53,7 +49,6 @@ struct TraceLru {
 }
 
 static TRACES: OnceLock<Mutex<TraceLru>> = OnceLock::new();
-static MISS_SEQS: CellMap<Arc<Vec<u64>>> = OnceLock::new();
 
 fn traces() -> &'static Mutex<TraceLru> {
     TRACES.get_or_init(Mutex::default)
@@ -61,13 +56,6 @@ fn traces() -> &'static Mutex<TraceLru> {
 
 fn key_of(spec: &WorkloadSpec, events: usize, seed: u64) -> Key {
     (format!("{spec:?}"), seed, events)
-}
-
-/// `DOMINO_TRACE_CACHE=0` disables the cache (every call regenerates),
-/// restoring the pre-cache behaviour for benchmarking comparisons.
-fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("DOMINO_TRACE_CACHE").map_or(true, |v| v.trim() != "0"))
 }
 
 /// Sentinel for "no test override in place" in [`BUDGET_OVERRIDE`].
@@ -173,9 +161,6 @@ fn enforce_budget(keep: &Key) {
 /// only on that key's generation (the map lock is held just to fetch the
 /// cell), so distinct workloads generate in parallel.
 pub fn shared_trace(spec: &WorkloadSpec, events: usize, seed: u64) -> Arc<[AccessEvent]> {
-    if !enabled() {
-        return spec.generator(seed).take(events).collect::<Vec<_>>().into();
-    }
     let key = key_of(spec, events, seed);
     let cell = touch(key.clone());
     let out = cell
@@ -216,9 +201,6 @@ pub fn shared_file_trace(
         }
         Ok(events.into())
     };
-    if !enabled() {
-        return load();
-    }
     let key = (format!("file:{}", path.display()), 0, max_events);
     let cell = touch(key.clone());
     // `OnceLock::get_or_init` cannot fail out, so decode before filling:
@@ -299,33 +281,6 @@ pub fn tenant_slice_of(
     }
 }
 
-/// The L1-filtered baseline miss sequence of `spec`'s trace under
-/// `system`, cached per `(spec, seed, events)`. Valid because the miss
-/// sequence is independent of any prefetcher (prefetches fill only the
-/// buffer) — and every figure currently consumes it under the single
-/// paper [`SystemConfig`].
-pub fn shared_miss_sequence(
-    system: &SystemConfig,
-    spec: &WorkloadSpec,
-    events: usize,
-    seed: u64,
-) -> Arc<Vec<u64>> {
-    if !enabled() {
-        let trace = shared_trace(spec, events, seed);
-        return Arc::new(baseline_miss_sequence(system, &trace));
-    }
-    let cell = {
-        let map = MISS_SEQS.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = map.lock().expect("unpoisoned");
-        Arc::clone(map.entry(key_of(spec, events, seed)).or_default())
-    };
-    cell.get_or_init(|| {
-        let trace = shared_trace(spec, events, seed);
-        Arc::new(baseline_miss_sequence(system, &trace))
-    })
-    .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,16 +344,5 @@ mod tests {
         assert_eq!(s.len, 250);
         assert_eq!(s.start, 0);
         assert_eq!(s.trace.len(), 250);
-    }
-
-    #[test]
-    fn miss_sequence_is_cached_and_correct() {
-        let system = SystemConfig::paper();
-        let spec = catalog::oltp();
-        let a = shared_miss_sequence(&system, &spec, 2_000, 3);
-        let b = shared_miss_sequence(&system, &spec, 2_000, 3);
-        assert!(Arc::ptr_eq(&a, &b));
-        let trace = shared_trace(&spec, 2_000, 3);
-        assert_eq!(*a, baseline_miss_sequence(&system, &trace));
     }
 }

@@ -46,9 +46,11 @@
 /// Whether the named injected bug is active. Only compiled under
 /// `--cfg domino_mutate` (the `domino-check --self-test` build); the
 /// selected mutation comes from the `DOMINO_MUTATE` environment
-/// variable, so one mutant binary can replay every known bug.
+/// variable, so one mutant binary can replay every known bug. Every
+/// crate's hook sites call this one parser.
 #[cfg(domino_mutate)]
-pub(crate) fn mutate_active(name: &str) -> bool {
+#[doc(hidden)]
+pub fn mutate_active(name: &str) -> bool {
     std::env::var("DOMINO_MUTATE")
         .map(|v| v == name)
         .unwrap_or(false)
@@ -148,30 +150,6 @@ impl Telemetry {
             epoch_len: epoch,
             ..Telemetry::off()
         }
-    }
-
-    /// Resolves a handle from the `DOMINO_EPOCH` environment variable:
-    /// unset or `0` → off, a positive integer → that epoch length. When
-    /// `DOMINO_TRACE` is set to a positive event count, the handle also
-    /// carries a [`FlightRecorder`] of that ring capacity (tracing works
-    /// with epochs off: the handle stays `is_on() == false` but records
-    /// events).
-    pub fn from_env() -> Self {
-        let mut tel = match std::env::var("DOMINO_EPOCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            Some(n) if n > 0 => Telemetry::with_epoch(n),
-            _ => Telemetry::off(),
-        };
-        if let Some(cap) = std::env::var("DOMINO_TRACE")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-        {
-            tel.enable_trace(cap as usize);
-        }
-        tel
     }
 
     /// Attaches a [`FlightRecorder`] keeping the most recent `capacity`
@@ -390,15 +368,6 @@ mod tests {
         let r = tel.finish(|row| row.counter("n", 0));
         assert_eq!(r.histograms.len(), 1);
         assert_eq!(r.histograms[0].1.counts(), &[1, 1, 1]);
-    }
-
-    #[test]
-    fn from_env_honours_the_knob() {
-        // Off when unset or zero; the positive path is covered via
-        // with_epoch (mutating the environment from tests races the
-        // parallel test harness).
-        std::env::remove_var("DOMINO_EPOCH");
-        assert!(!Telemetry::from_env().is_on());
     }
 
     #[test]

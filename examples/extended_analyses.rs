@@ -18,26 +18,26 @@
 //! ```
 
 use domino_repro::sim::figures::{
-    extended_roster, fig14_confidence, mlp_sensitivity, opportunity_methods, Scale,
+    extended_roster, fig14_confidence, mlp_sensitivity, opportunity_methods, Scale, Sweep,
 };
 
 fn main() {
-    let scale = Scale {
+    let mut sweep = Sweep::new(Scale {
         events: 200_000,
         seed: 42,
-    };
-    for t in extended_roster(&scale) {
+    });
+    for t in extended_roster(&mut sweep) {
         println!("{t}");
     }
-    println!("{}", opportunity_methods(&scale));
-    println!("{}", mlp_sensitivity(&scale));
+    println!("{}", opportunity_methods(&sweep));
+    println!("{}", mlp_sensitivity(&sweep));
     println!(
         "{}",
         fig14_confidence(
-            &Scale {
+            &Sweep::new(Scale {
                 events: 120_000,
                 seed: 0,
-            },
+            }),
             &[1, 2, 3, 4, 5],
         )
     );

@@ -13,10 +13,12 @@
 //! cargo run --release --example figures -- --trace 65536    # flight recorder
 //! ```
 //!
-//! Figure cells fan out across the parallel sweep executor; the worker
-//! count comes from `--jobs`, else the `DOMINO_JOBS` environment
-//! variable, else the host's available parallelism. Output tables are
-//! byte-identical at any job count.
+//! All figures run on one `Sweep`, which simulates each distinct cell
+//! once: a run that several figures report (Domino's degree-4 coverage,
+//! say) is shared by all of them. Cells fan out across the parallel
+//! sweep executor; the worker count comes from `--jobs`, else the
+//! `DOMINO_JOBS` environment variable, else the host's available
+//! parallelism. Output tables are byte-identical at any job count.
 //!
 //! `--batch N` (else `DOMINO_BATCH`, else a tuned default) sets the
 //! coverage engine's step and the timing engine's pollution span, in
@@ -28,8 +30,9 @@
 //! replay throughput, the job count, batch size, and host core count at
 //! bench time — so the bench guard can refuse comparisons across
 //! different configurations — plus a jobs-1/2/4/8 scaling curve over
-//! the three heaviest figures (skipped when `--epoch`/`--trace`
-//! observation is on, to keep telemetry output single-valued) and a
+//! the three heaviest figures (each point on a fresh sweep, so it
+//! simulates rather than reuses; skipped when `--epoch`/`--trace`
+//! observation is on) and a
 //! streaming-throughput section comparing the cached-slice replay path
 //! against out-of-core `DMNOTRC1` file streaming (raw and
 //! Sequitur-compressed), with peak resident trace bytes and the
@@ -52,10 +55,10 @@
 
 use domino_repro::sim::figures::{
     bandwidth_utilization, fig01, fig02, fig03, fig04, fig05, fig06, fig09, fig10, fig11, fig12,
-    fig13, fig14, fig15, fig16, rivals, rivals_roster, table1, table2, Scale,
+    fig13, fig14, fig15, fig16, rivals, rivals_roster, table1, table2, Scale, Sweep,
 };
 use domino_repro::sim::{
-    exec, observe, run_timing_streamed, run_timing_with_batch, FigureTable, System, SystemConfig,
+    observe, run_timing_streamed, run_timing_with_batch, FigureTable, System, SystemConfig,
 };
 use domino_repro::trace::stream::{write_trace_file, Codec, EventSource, FileSource, RECORD_BYTES};
 use domino_repro::trace::workload::catalog;
@@ -240,14 +243,15 @@ fn streaming_bench(scale: &Scale) -> (Vec<StreamingPoint>, f64) {
 fn main() {
     let mut events: Option<usize> = None;
     let mut out_dir: Option<std::path::PathBuf> = None;
+    let (mut jobs, mut epoch, mut trace) = (None, None, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--jobs" {
-            let n = args
+            let n: usize = args
                 .next()
                 .and_then(|s| s.parse().ok())
                 .expect("--jobs needs a positive integer");
-            exec::set_jobs_override(Some(n));
+            jobs = Some(n);
         } else if arg == "--batch" {
             let n: u32 = args
                 .next()
@@ -259,13 +263,13 @@ fn main() {
                 .next()
                 .and_then(|s| s.parse().ok())
                 .expect("--epoch needs a positive integer");
-            observe::set_epoch_override(Some(n));
+            epoch = Some(n);
         } else if arg == "--trace" {
             let n: u64 = args
                 .next()
                 .and_then(|s| s.parse().ok())
                 .expect("--trace needs a positive integer");
-            observe::set_trace_override(Some(n));
+            trace = Some(n);
         } else if events.is_none() && arg.parse::<usize>().is_ok() {
             events = arg.parse().ok();
         } else {
@@ -277,7 +281,18 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
     let scale = Scale { events, seed: 42 };
-    let jobs = exec::jobs();
+    let mut sweep = Sweep::new(scale);
+    if let Some(n) = jobs.filter(|&n| n > 0) {
+        sweep.jobs = n;
+    }
+    // `--epoch 0` / `--trace 0` switch observation off explicitly.
+    if let Some(n) = epoch {
+        sweep.epoch = (n > 0).then_some(n);
+    }
+    if let Some(n) = trace {
+        sweep.trace = (n > 0).then_some(n);
+    }
+    let jobs = sweep.jobs;
     eprintln!(
         "running all figures at {} events per workload on {jobs} worker(s)...",
         scale.events
@@ -310,30 +325,30 @@ fn main() {
         }};
     }
     let mut singles: Vec<(&str, FigureTable)> = vec![
-        ("fig01", show!("fig01", fig01(&scale))),
-        ("fig02", show!("fig02", fig02(&scale))),
-        ("fig03", show!("fig03", fig03(&scale))),
-        ("fig04", show!("fig04", fig04(&scale))),
+        ("fig01", show!("fig01", fig01(&mut sweep))),
+        ("fig02", show!("fig02", fig02(&mut sweep))),
+        ("fig03", show!("fig03", fig03(&mut sweep))),
+        ("fig04", show!("fig04", fig04(&mut sweep))),
     ];
-    for (i, t) in show!("fig05", fig05(&scale)).into_iter().enumerate() {
+    for (i, t) in show!("fig05", fig05(&mut sweep)).into_iter().enumerate() {
         singles.push(if i == 0 { ("fig05a", t) } else { ("fig05b", t) });
     }
-    singles.push(("fig06", show!("fig06", fig06(&scale))));
-    singles.push(("fig09", show!("fig09", fig09(&scale))));
-    singles.push(("fig10", show!("fig10", fig10(&scale))));
-    for (i, t) in show!("fig11", fig11(&scale)).into_iter().enumerate() {
+    singles.push(("fig06", show!("fig06", fig06(&mut sweep))));
+    singles.push(("fig09", show!("fig09", fig09(&sweep))));
+    singles.push(("fig10", show!("fig10", fig10(&sweep))));
+    for (i, t) in show!("fig11", fig11(&mut sweep)).into_iter().enumerate() {
         singles.push(if i == 0 { ("fig11a", t) } else { ("fig11b", t) });
     }
-    singles.push(("fig12", show!("fig12", fig12(&scale))));
-    for (i, t) in show!("fig13", fig13(&scale)).into_iter().enumerate() {
+    singles.push(("fig12", show!("fig12", fig12(&mut sweep))));
+    for (i, t) in show!("fig13", fig13(&mut sweep)).into_iter().enumerate() {
         singles.push(if i == 0 { ("fig13a", t) } else { ("fig13b", t) });
     }
-    singles.push(("fig14", show!("fig14", fig14(&scale))));
-    singles.push(("fig15", show!("fig15", fig15(&scale))));
-    singles.push(("fig16", show!("fig16", fig16(&scale))));
+    singles.push(("fig14", show!("fig14", fig14(&mut sweep))));
+    singles.push(("fig15", show!("fig15", fig15(&mut sweep))));
+    singles.push(("fig16", show!("fig16", fig16(&mut sweep))));
     singles.push((
         "bandwidth",
-        show!("bandwidth", bandwidth_utilization(&scale)),
+        show!("bandwidth", bandwidth_utilization(&sweep)),
     ));
     let rival_names = [
         "rivals_coverage",
@@ -341,7 +356,10 @@ fn main() {
         "rivals_traffic",
         "rivals_speedup",
     ];
-    for (name, t) in rival_names.into_iter().zip(show!("rivals", rivals(&scale))) {
+    for (name, t) in rival_names
+        .into_iter()
+        .zip(show!("rivals", rivals(&mut sweep)))
+    {
         singles.push((name, t));
     }
     for (name, table) in &singles {
@@ -352,10 +370,11 @@ fn main() {
     eprintln!("all figures in {total:.1}s");
 
     // Scaling curve: the three heaviest figures at jobs 1/2/4/8, for
-    // the bench guard's multicore-scaling checks. Observed runs skip it
-    // so every telemetry/trace cell stays single-valued.
+    // the bench guard's multicore-scaling checks. Each point runs on a
+    // fresh sweep, or it would time finished cells. Observed runs skip
+    // the curve.
     let mut scaling: Vec<ScalingPoint> = Vec::new();
-    if !observe::observing() {
+    if !sweep.observing() {
         eprintln!("scaling curve (jobs 1/2/4/8)...");
         macro_rules! scale_point {
             ($name:literal, $j:expr, $figure:expr) => {{
@@ -372,12 +391,15 @@ fn main() {
             }};
         }
         for j in [1usize, 2, 4, 8] {
-            exec::set_jobs_override(Some(j));
-            scale_point!("fig05", j, fig05(&scale));
-            scale_point!("fig14", j, fig14(&scale));
-            scale_point!("bandwidth", j, bandwidth_utilization(&scale));
+            let at_jobs = || {
+                let mut fresh = sweep.fresh();
+                fresh.jobs = j;
+                fresh
+            };
+            scale_point!("fig05", j, fig05(&mut at_jobs()));
+            scale_point!("fig14", j, fig14(&mut at_jobs()));
+            scale_point!("bandwidth", j, bandwidth_utilization(&at_jobs()));
         }
-        exec::set_jobs_override(Some(jobs));
     }
 
     // Out-of-core replay throughput: cached slice vs streamed file vs
@@ -410,7 +432,7 @@ fn main() {
     .expect("write bench");
     eprintln!("wrote {}", bench_path.display());
 
-    let reports = observe::drain();
+    let reports = sweep.take_reports();
     if !reports.is_empty() {
         let paths = observe::write_reports(&out_base, &reports).expect("write telemetry");
         eprintln!(
@@ -421,7 +443,7 @@ fn main() {
         );
     }
 
-    let traces = observe::drain_traces();
+    let traces = sweep.take_traces();
     if !traces.is_empty() {
         let paths = observe::write_traces(&out_base, &traces).expect("write traces");
         eprintln!(

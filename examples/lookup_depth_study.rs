@@ -7,16 +7,17 @@
 //! cargo run --release --example lookup_depth_study
 //! ```
 
-use domino_repro::sim::figures::{fig03, fig04, fig05, Scale};
+use domino_repro::sim::figures::{fig03, fig04, fig05, Scale, Sweep};
 
 fn main() {
-    let scale = Scale {
+    // One sweep: Figures 3 and 4 read the same lookup-depth analysis.
+    let mut sweep = Sweep::new(Scale {
         events: 250_000,
         seed: 42,
-    };
-    println!("{}", fig03(&scale));
-    println!("{}", fig04(&scale));
-    for table in fig05(&scale) {
+    });
+    println!("{}", fig03(&mut sweep));
+    println!("{}", fig04(&mut sweep));
+    for table in fig05(&mut sweep) {
         println!("{table}");
     }
     println!(

@@ -13,19 +13,16 @@
 //! rivals-smoke stage; the full-scale tables also appear in the main
 //! `figures` sweep (and its `BENCH_sweep.json` rivals section).
 
-use domino_repro::sim::exec;
-use domino_repro::sim::figures::{rivals, Scale};
+use domino_repro::sim::figures::{rivals, Scale, Sweep};
 
 fn main() {
     let mut events: Option<usize> = None;
+    let mut jobs: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--jobs" {
-            let n = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .expect("--jobs needs a positive integer");
-            exec::set_jobs_override(Some(n));
+            jobs = args.next().and_then(|s| s.parse().ok());
+            assert!(jobs.is_some(), "--jobs needs a positive integer");
         } else {
             events = Some(arg.parse().expect("events must be a positive integer"));
         }
@@ -34,12 +31,15 @@ fn main() {
         events: events.unwrap_or(300_000),
         seed: 42,
     };
+    let mut sweep = Sweep::new(scale);
+    if let Some(n) = jobs.filter(|&n| n > 0) {
+        sweep.jobs = n;
+    }
     eprintln!(
         "rivals head-to-head at {} events per workload on {} worker(s)...",
-        scale.events,
-        exec::jobs()
+        scale.events, sweep.jobs
     );
-    for table in rivals(&scale) {
+    for table in rivals(&mut sweep) {
         println!("{table}");
     }
 }

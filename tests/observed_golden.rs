@@ -7,11 +7,8 @@
 //! recorded from the engines before they were folded into one event
 //! loop per model, so it holds the observed output of today's loop to
 //! the bytes the earlier per-event loops wrote.
-//!
-//! This is the only test in its binary: the epoch and trace overrides
-//! are process-global.
 
-use domino_repro::sim::figures::{fig13, fig14, Scale};
+use domino_repro::sim::figures::{fig13, fig14, Scale, Sweep};
 use domino_repro::sim::observe;
 
 /// FNV-1a over `bytes`.
@@ -22,7 +19,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// File name and digest of every file an observed fig13 + fig14 sweep
-/// writes, in the order the collectors drain them.
+/// writes, in the order the sweep hands them out.
 const GOLDEN: &[(&str, u64)] = &[
     ("TELEMETRY_sweep.json", 0x1f41907558e8e344),
     ("trace_data_serving_baseline_timing.bin", 0x40721d71f2db78f8),
@@ -149,18 +146,16 @@ const GOLDEN: &[(&str, u64)] = &[
 
 #[test]
 fn observed_fig13_and_fig14_match_the_recorded_bytes() {
-    observe::set_epoch_override(Some(5_000));
-    observe::set_trace_override(Some(4_096));
-    let scale = Scale {
+    let mut sweep = Sweep::new(Scale {
         events: 20_000,
         seed: 42,
-    };
-    fig13(&scale);
-    fig14(&scale);
-    let reports = observe::drain();
-    let traces = observe::drain_traces();
-    observe::set_epoch_override(None);
-    observe::set_trace_override(None);
+    });
+    sweep.epoch = Some(5_000);
+    sweep.trace = Some(4_096);
+    fig13(&mut sweep);
+    fig14(&mut sweep);
+    let reports = sweep.take_reports();
+    let traces = sweep.take_traces();
 
     let mut got = vec![(
         "TELEMETRY_sweep.json".to_string(),

@@ -1,36 +1,60 @@
-//! Integration tests for the parallel sweep executor (`sim::exec`).
+//! Integration tests for figure sweeps (`sim::figures::Sweep` on the
+//! `sim::exec` executor).
 //!
 //! The executor promises byte-identical figure output at any job count;
-//! the determinism test here is the regression gate for that promise.
-//! The smoke test pushes the full figure roster through the executor at
-//! a reduced scale, which catches `Send`-bound regressions in any
-//! prefetcher (every figure cell moves a built prefetcher to a worker
-//! thread) as well as panics in individual runners.
+//! the determinism tests here are the regression gate for that promise.
+//! A sweep promises to run each distinct cell once, so figures that
+//! share runs deposit each observed one once. The smoke test pushes the
+//! full figure roster through the executor at a reduced scale, which
+//! catches `Send`-bound regressions in any prefetcher (every figure
+//! cell moves a built prefetcher to a worker thread) as well as panics
+//! in individual runners.
 
+use std::collections::HashSet;
 use std::sync::Mutex;
 
 use domino_repro::sim::figures::{
     self, bandwidth_utilization, fig01, fig02, fig03, fig04, fig05, fig06, fig09, fig10, fig11,
-    fig12, fig13, fig14, fig15, fig16, Scale,
+    fig12, fig13, fig14, fig15, fig16, rivals, Scale, Sweep,
 };
-use domino_repro::sim::{exec, observe};
+use domino_repro::sim::{observe, FigureTable};
 
-/// The jobs override is process-global; tests that set it must not
-/// interleave.
-static JOBS_LOCK: Mutex<()> = Mutex::new(());
+/// The batch override is process-global; the two tests that set it
+/// must not interleave.
+static BATCH_LOCK: Mutex<()> = Mutex::new(());
+
+/// A fresh sweep at `scale` on `jobs` workers with the given epoch and
+/// trace capacity, whatever the environment says.
+fn sweep(scale: Scale, jobs: usize, epoch: Option<u64>, trace: Option<u64>) -> Sweep {
+    let mut sweep = Sweep::new(scale);
+    sweep.jobs = jobs;
+    sweep.epoch = epoch;
+    sweep.trace = trace;
+    sweep
+}
+
+/// Each trace's file name and bytes.
+fn trace_bytes(traces: &[observe::TraceCell]) -> Vec<(String, Vec<u8>)> {
+    traces
+        .iter()
+        .map(|t| {
+            (
+                observe::trace_filename(&t.meta),
+                t.recorder.to_bytes(&t.meta),
+            )
+        })
+        .collect()
+}
+
+const SCALE: Scale = Scale {
+    events: 20_000,
+    seed: 11,
+};
 
 #[test]
 fn fig01_is_byte_identical_at_any_job_count() {
-    let _guard = JOBS_LOCK.lock().expect("unpoisoned");
-    let scale = Scale {
-        events: 20_000,
-        seed: 11,
-    };
-    exec::set_jobs_override(Some(1));
-    let serial = fig01(&scale);
-    exec::set_jobs_override(Some(8));
-    let parallel = fig01(&scale);
-    exec::set_jobs_override(None);
+    let serial = fig01(&mut sweep(SCALE, 1, None, None));
+    let parallel = fig01(&mut sweep(SCALE, 8, None, None));
     // Bitwise-equal values (no tolerance: determinism means identity)...
     for (a, b) in serial.values.iter().zip(&parallel.values) {
         for (x, y) in a.iter().zip(b) {
@@ -43,24 +67,15 @@ fn fig01_is_byte_identical_at_any_job_count() {
 
 #[test]
 fn telemetry_json_is_byte_identical_at_any_job_count() {
-    let _guard = JOBS_LOCK.lock().expect("unpoisoned");
-    let scale = Scale {
-        events: 20_000,
-        seed: 11,
-    };
-    let sweep = |jobs| {
-        exec::set_jobs_override(Some(jobs));
-        observe::set_epoch_override(Some(5_000));
-        observe::drain(); // discard anything a previous test left behind
-        let tables = fig13(&scale);
-        let reports = observe::drain();
-        exec::set_jobs_override(None);
-        observe::set_epoch_override(None);
+    let run = |jobs| {
+        let mut sweep = sweep(SCALE, jobs, Some(5_000), None);
+        let tables = fig13(&mut sweep);
+        let reports = sweep.take_reports();
         assert!(!reports.is_empty(), "observed fig13 produced no telemetry");
         (tables, observe::aggregate_json(&reports))
     };
-    let (serial_tables, serial_json) = sweep(1);
-    let (parallel_tables, parallel_json) = sweep(8);
+    let (serial_tables, serial_json) = run(1);
+    let (parallel_tables, parallel_json) = run(8);
     assert_eq!(
         serial_json, parallel_json,
         "telemetry drifted between job counts"
@@ -76,33 +91,15 @@ fn telemetry_json_is_byte_identical_at_any_job_count() {
 
 #[test]
 fn trace_files_are_byte_identical_at_any_job_count() {
-    let _guard = JOBS_LOCK.lock().expect("unpoisoned");
-    let scale = Scale {
-        events: 20_000,
-        seed: 11,
-    };
-    let sweep = |jobs| {
-        exec::set_jobs_override(Some(jobs));
-        observe::set_trace_override(Some(4096));
-        let _ = observe::drain_traces(); // discard leftovers
-        let tables = fig13(&scale);
-        let traces = observe::drain_traces();
-        exec::set_jobs_override(None);
-        observe::set_trace_override(None);
+    let run = |jobs| {
+        let mut sweep = sweep(SCALE, jobs, None, Some(4096));
+        let tables = fig13(&mut sweep);
+        let traces = sweep.take_traces();
         assert!(!traces.is_empty(), "traced fig13 produced no traces");
-        let bytes: Vec<(String, Vec<u8>)> = traces
-            .iter()
-            .map(|t| {
-                (
-                    observe::trace_filename(&t.meta),
-                    t.recorder.to_bytes(&t.meta),
-                )
-            })
-            .collect();
-        (tables, bytes)
+        (tables, trace_bytes(&traces))
     };
-    let (serial_tables, serial_bytes) = sweep(1);
-    let (parallel_tables, parallel_bytes) = sweep(8);
+    let (serial_tables, serial_bytes) = run(1);
+    let (parallel_tables, parallel_bytes) = run(8);
     assert_eq!(serial_bytes.len(), parallel_bytes.len());
     for ((name_a, bytes_a), (name_b, bytes_b)) in serial_bytes.iter().zip(&parallel_bytes) {
         assert_eq!(name_a, name_b, "trace set drifted between job counts");
@@ -122,17 +119,14 @@ fn trace_files_are_byte_identical_at_any_job_count() {
 
 #[test]
 fn figures_are_byte_identical_at_any_batch_size() {
-    // The batch override shares process-global state with the jobs
-    // override tests, so it serializes on the same lock.
-    let _guard = JOBS_LOCK.lock().expect("unpoisoned");
-    let scale = Scale {
-        events: 20_000,
-        seed: 11,
-    };
-    exec::set_jobs_override(Some(2));
+    let _guard = BATCH_LOCK.lock().expect("unpoisoned");
     let run = |batch| {
         observe::set_batch_override(Some(batch));
-        let out = (format!("{}", fig01(&scale)), format!("{}", fig14(&scale)));
+        let mut sweep = sweep(SCALE, 2, None, None);
+        let out = (
+            format!("{}", fig01(&mut sweep)),
+            format!("{}", fig14(&mut sweep)),
+        );
         observe::set_batch_override(None);
         out
     };
@@ -144,48 +138,33 @@ fn figures_are_byte_identical_at_any_batch_size() {
             "figure output drifted between batch 1 and batch {batch}"
         );
     }
-    exec::set_jobs_override(None);
 }
 
 #[test]
 fn telemetry_json_is_byte_identical_at_any_batch_size() {
-    let _guard = JOBS_LOCK.lock().expect("unpoisoned");
-    let scale = Scale {
-        events: 20_000,
-        seed: 11,
-    };
-    let sweep = |batch| {
+    let _guard = BATCH_LOCK.lock().expect("unpoisoned");
+    let run = |batch| {
         observe::set_batch_override(Some(batch));
-        observe::set_epoch_override(Some(5_000));
-        observe::set_trace_override(Some(4_096));
-        observe::drain(); // discard anything a previous test left behind
-        let _ = observe::drain_traces();
-        let mut tables: Vec<String> = fig13(&scale).iter().map(|t| format!("{t}")).collect();
-        tables.push(format!("{}", fig14(&scale)));
-        let reports = observe::drain();
-        let traces = observe::drain_traces();
+        let mut sweep = sweep(SCALE, 2, Some(5_000), Some(4_096));
+        let mut tables: Vec<String> = fig13(&mut sweep).iter().map(|t| format!("{t}")).collect();
+        tables.push(format!("{}", fig14(&mut sweep)));
+        let reports = sweep.take_reports();
+        let traces = sweep.take_traces();
         observe::set_batch_override(None);
-        observe::set_epoch_override(None);
-        observe::set_trace_override(None);
         assert!(
             !reports.is_empty(),
             "observed figures produced no telemetry"
         );
         assert!(!traces.is_empty(), "traced figures produced no traces");
-        let trace_bytes: Vec<(String, Vec<u8>)> = traces
-            .iter()
-            .map(|t| {
-                (
-                    observe::trace_filename(&t.meta),
-                    t.recorder.to_bytes(&t.meta),
-                )
-            })
-            .collect();
-        (tables, observe::aggregate_json(&reports), trace_bytes)
+        (
+            tables,
+            observe::aggregate_json(&reports),
+            trace_bytes(&traces),
+        )
     };
-    let one = sweep(1);
+    let one = run(1);
     for batch in [7, 64] {
-        let other = sweep(batch);
+        let other = run(batch);
         assert_eq!(one.1, other.1, "telemetry drifted at batch {batch}");
         assert_eq!(one.0, other.0, "figures drifted with observation on");
         assert_eq!(one.2.len(), other.2.len(), "trace set drifted");
@@ -200,31 +179,70 @@ fn telemetry_json_is_byte_identical_at_any_batch_size() {
 }
 
 #[test]
+fn shared_cells_run_and_deposit_once() {
+    let scale = Scale {
+        events: 8_000,
+        seed: 5,
+    };
+    let render = |tables: Vec<FigureTable>| -> Vec<String> {
+        tables.iter().map(|t| format!("{t}")).collect()
+    };
+    // Figures 13, 14, 15 and the rivals tables on one observed sweep:
+    // rivals re-reads Figure 13's and 14's STMS, Digram and Domino
+    // cells, and Figure 15 reads their unobserved twins.
+    let mut shared = sweep(scale, 2, Some(5_000), Some(4_096));
+    let mut tables = render(fig13(&mut shared));
+    tables.push(format!("{}", fig14(&mut shared)));
+    tables.push(format!("{}", fig15(&mut shared)));
+    tables.extend(render(rivals(&mut shared)));
+    let reports = shared.take_reports();
+    let traces = shared.take_traces();
+
+    // Each figure alone on a fresh, unobserved sweep prints the same.
+    let fresh = || sweep(scale, 2, None, None);
+    let mut alone = render(fig13(&mut fresh()));
+    alone.push(format!("{}", fig14(&mut fresh())));
+    alone.push(format!("{}", fig15(&mut fresh())));
+    alone.extend(render(rivals(&mut fresh())));
+    assert_eq!(tables, alone, "sharing cells changed a table");
+
+    // Per workload: coverage of the paper roster plus Pangloss and
+    // Triangel (7 systems), timing of those and the baseline (8).
+    let distinct = 9 * 7 + 9 * 8;
+    let report_names: HashSet<String> = reports.iter().map(observe::cell_filename).collect();
+    assert_eq!(reports.len(), distinct, "a shared cell deposited twice");
+    assert_eq!(report_names.len(), distinct, "telemetry file names collide");
+    let trace_names: HashSet<String> = traces
+        .iter()
+        .map(|t| observe::trace_filename(&t.meta))
+        .collect();
+    assert_eq!(traces.len(), distinct, "a shared cell traced twice");
+    assert_eq!(trace_names.len(), distinct, "trace file names collide");
+}
+
+#[test]
 fn full_roster_runs_through_the_executor() {
-    let _guard = JOBS_LOCK.lock().expect("unpoisoned");
-    exec::set_jobs_override(Some(4));
-    let scale = Scale::small();
+    let mut sweep = sweep(Scale::small(), 4, None, None);
     let mut tables = vec![
-        fig01(&scale),
-        fig02(&scale),
-        fig03(&scale),
-        fig04(&scale),
-        fig06(&scale),
-        fig09(&scale),
-        fig10(&scale),
-        fig12(&scale),
-        fig14(&scale),
-        fig15(&scale),
-        fig16(&scale),
-        bandwidth_utilization(&scale),
-        figures::opportunity_methods(&scale),
-        figures::mlp_sensitivity(&scale),
+        fig01(&mut sweep),
+        fig02(&mut sweep),
+        fig03(&mut sweep),
+        fig04(&mut sweep),
+        fig06(&mut sweep),
+        fig09(&sweep),
+        fig10(&sweep),
+        fig12(&mut sweep),
+        fig14(&mut sweep),
+        fig15(&mut sweep),
+        fig16(&mut sweep),
+        bandwidth_utilization(&sweep),
+        figures::opportunity_methods(&sweep),
+        figures::mlp_sensitivity(&sweep),
     ];
-    tables.extend(fig05(&scale));
-    tables.extend(fig11(&scale));
-    tables.extend(fig13(&scale));
-    tables.extend(figures::extended_roster(&scale));
-    exec::set_jobs_override(None);
+    tables.extend(fig05(&mut sweep));
+    tables.extend(fig11(&mut sweep));
+    tables.extend(fig13(&mut sweep));
+    tables.extend(figures::extended_roster(&mut sweep));
     for t in &tables {
         assert!(!t.rows.is_empty(), "{}: no rows", t.title);
         assert!(!t.columns.is_empty(), "{}: no columns", t.title);

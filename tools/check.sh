@@ -153,6 +153,18 @@ if [ "${1:-}" != "--fast" ]; then
                 exit 1
             fi
             (cd "$out" && ls telemetry_*.json TELEMETRY_sweep.json trace_*.bin) >"$out.list"
+            # Each observed cell deposits once: a file on disk for every
+            # run the aggregate lists and every trace the sweep wrote (a
+            # cell deposited twice overwrites its first file).
+            runs=$(sed -n 's/^  "runs": \([0-9]*\),$/\1/p' "$out/TELEMETRY_sweep.json")
+            traced=$(sed -n 's/^wrote \([0-9]*\) flight-recorder traces.*/\1/p' "$out.err")
+            jsons=$(grep -c '^telemetry_' "$out.list")
+            bins=$(grep -c '^trace_' "$out.list")
+            if [ "$jsons" != "$runs" ] || [ "$bins" != "$traced" ]; then
+                echo "duplicate deposits at batch $batch: $jsons telemetry files" \
+                    "for $runs runs, $bins trace files for $traced traces"
+                exit 1
+            fi
         done
         cmp "$parity_dir/1.txt" "$parity_dir/default.txt"
         cmp "$parity_dir/1.list" "$parity_dir/default.list"
