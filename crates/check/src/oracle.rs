@@ -70,6 +70,7 @@ use domino_sim::engine::{
     run_coverage_streamed_session, run_coverage_with_batch,
 };
 use domino_sim::multicore::run_multicore;
+use domino_sim::observe::DEFAULT_BATCH;
 use domino_sim::roster::System;
 use domino_sim::timing::{run_timing, run_timing_streamed, run_timing_with_batch};
 use domino_telemetry::trace::{TraceFile, TraceMeta};
@@ -488,7 +489,7 @@ fn invariant_audit(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> 
     let mut tel = Telemetry::with_epoch(epoch);
     tel.enable_trace(RING_CAPACITY);
     let mut p = sys.build(DEGREE);
-    let report = run_coverage_observed(&cfg, trace, p.as_mut(), 0, &mut tel);
+    let report = run_coverage_observed(&cfg, trace, p.as_mut(), 0, DEFAULT_BATCH, &mut tel);
     let rec = tel.take_tracer().expect("tracer was enabled");
     let label = sys.label();
 

@@ -287,17 +287,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Restores the freshly-constructed state (empty sets, zeroed
-    /// counters, reseeded replacement RNG) without touching the line
-    /// slab's allocation — a reset cache behaves byte-identically to a
-    /// newly built one, so sweep cells can reuse the storage.
-    pub fn reset(&mut self) {
-        self.occ.fill(0);
-        self.rand_state = 0x9e37_79b9_7f4a_7c15;
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Number of resident lines.
     pub fn len(&self) -> usize {
         self.occ.iter().map(|&n| n as usize).sum()

@@ -163,19 +163,6 @@ impl MshrFile {
         self.merge(line)
     }
 
-    /// Restores the freshly-constructed state (all registers free, zeroed
-    /// counters) without releasing the slab, free-list, or heap storage,
-    /// so sweep cells can reuse the file without reallocating.
-    pub fn reset(&mut self) {
-        self.live.fill(false);
-        self.free.clear();
-        self.free.extend((0..self.capacity as u32).rev());
-        self.heap.clear();
-        self.allocations = 0;
-        self.merges = 0;
-        self.stalls = 0;
-    }
-
     /// Releases all registers whose miss completed at or before `now`.
     pub fn retire_until(&mut self, now: f64) {
         // Injected bug for the checker self-test: treat the retirement

@@ -182,14 +182,6 @@ impl PrefetchBuffer {
         discarded
     }
 
-    /// Restores the freshly-constructed state (no entries, zeroed stats)
-    /// while keeping the entry storage allocated, so sweep cells can
-    /// reuse the buffer without reallocating.
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.stats = PrefetchBufferStats::default();
-    }
-
     /// Number of buffered blocks.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -24,7 +24,7 @@ use domino_trace::event::AccessEvent;
 use domino_trace::stream::{EventSource, TraceFileError};
 
 use crate::config::SystemConfig;
-use crate::scratch;
+use crate::observe::DEFAULT_BATCH;
 
 /// Result of a coverage run.
 #[derive(Debug, Clone)]
@@ -155,7 +155,7 @@ pub fn run_coverage_warmed(
     prefetcher: &mut dyn Prefetcher,
     warmup: usize,
 ) -> CoverageReport {
-    run_coverage_observed(system, trace, prefetcher, warmup, &mut Telemetry::off())
+    run_coverage_with_batch(system, trace, prefetcher, warmup, DEFAULT_BATCH)
 }
 
 /// Emits one cumulative telemetry snapshot row of a coverage run. The
@@ -187,43 +187,11 @@ fn emit_coverage_row(
 /// prefetch-to-use distance in demand accesses. An attached flight
 /// recorder logs every trigger's decisions.
 ///
-/// Observed and unobserved runs take the same loop, in steps of the
-/// effective [`crate::observe::batch_size`]; with a disabled handle this
-/// is exactly [`run_coverage_warmed`].
+/// Observed and unobserved runs take the same loop: one
+/// [`CoverageSession`] in steps of `batch` events, with `tel` lent to the
+/// session for the run. With a disabled handle this is exactly
+/// [`run_coverage_with_batch`].
 pub fn run_coverage_observed(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
-    tel: &mut Telemetry,
-) -> CoverageReport {
-    let batch = crate::observe::batch_size();
-    run_coverage_stepped(system, trace, prefetcher, warmup, batch, tel)
-}
-
-/// [`run_coverage_warmed`] in steps of `batch` events, ignoring the
-/// process-wide knob. Reports are byte-identical at every step size; the
-/// `domino-check` batch-parity oracle compares batch 1 with larger ones.
-pub fn run_coverage_with_batch(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
-    batch: u32,
-) -> CoverageReport {
-    run_coverage_stepped(
-        system,
-        trace,
-        prefetcher,
-        warmup,
-        batch,
-        &mut Telemetry::off(),
-    )
-}
-
-/// One [`CoverageSession`] over a cached trace in `batch`-event steps,
-/// with `tel` lent to the session for the run.
-fn run_coverage_stepped(
     system: &SystemConfig,
     trace: &[AccessEvent],
     prefetcher: &mut dyn Prefetcher,
@@ -236,6 +204,34 @@ fn run_coverage_stepped(
     prefetcher.reserve(trace.len());
     session.feed_steps(prefetcher, trace, batch as usize);
     session.finish_observed(prefetcher, tel)
+}
+
+/// [`run_coverage_warmed`] in steps of `batch` events. Reports are
+/// byte-identical at every step size; the `domino-check` batch-parity
+/// oracle compares batch 1 with larger ones.
+pub fn run_coverage_with_batch(
+    system: &SystemConfig,
+    trace: &[AccessEvent],
+    prefetcher: &mut dyn Prefetcher,
+    warmup: usize,
+    batch: u32,
+) -> CoverageReport {
+    let mut tel = Telemetry::off();
+    run_coverage_observed(system, trace, prefetcher, warmup, batch, &mut tel)
+}
+
+/// `x` with its fraction dropped: a simulated time, duration or
+/// prefetch-to-use distance as a telemetry counter or flight-recorder
+/// stamp. Shared by both engines.
+///
+/// # Panics
+///
+/// Panics unless `x` is finite and non-negative, as every simulated
+/// time and every difference clamped at zero is.
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn stamp(x: f64) -> u64 {
+    assert!(x.is_finite() && x >= 0.0, "{x} is not a simulated stamp");
+    x as u64
 }
 
 /// Logs one prefetch-buffer insert to the flight recorder: a fill, a
@@ -359,7 +355,7 @@ impl CoverageDriver<'_> {
                     // `ready_at` carries the inserting access's index
                     // instead: the difference is the prefetch-to-use
                     // distance in demand accesses.
-                    let distance = (i as f64 - entry.ready_at).max(0.0) as u64;
+                    let distance = stamp((i as f64 - entry.ready_at).max(0.0));
                     self.tel.record(self.dist_hist, distance);
                     if let Some(rec) = self.tel.tracer() {
                         rec.demand_hit(i, line.raw(), entry.stream, distance);
@@ -503,9 +499,9 @@ impl TriggerBatch for CoverageDriver<'_> {
 /// ([`Prefetcher::knows_line`]) or sized
 /// ([`Prefetcher::footprint_bytes`]) between steps.
 pub struct CoverageSession {
-    l1: scratch::Pooled<SetAssocCache>,
-    buffer: scratch::Pooled<PrefetchBuffer>,
-    sink: scratch::Pooled<CollectSink>,
+    l1: SetAssocCache,
+    buffer: PrefetchBuffer,
+    sink: CollectSink,
     report: CoverageReport,
     run: u64,
     warmup: usize,
@@ -533,9 +529,9 @@ impl CoverageSession {
     fn observed(system: &SystemConfig, name: &str, warmup: usize, mut tel: Telemetry) -> Self {
         let dist_hist = tel.register_histogram("prefetch_to_use_distance", DISTANCE_BOUNDS);
         CoverageSession {
-            l1: scratch::cache(system.l1d),
-            buffer: scratch::buffer(system.prefetch_buffer_blocks),
-            sink: scratch::sink(),
+            l1: SetAssocCache::new(system.l1d),
+            buffer: PrefetchBuffer::new(system.prefetch_buffer_blocks),
+            sink: CollectSink::new(),
             report: CoverageReport {
                 name: name.to_string(),
                 accesses: 0,
@@ -815,7 +811,7 @@ pub fn run_coverage_streamed_session(
 /// writes) after L1 filtering — the input for Sequitur/oracle analyses
 /// and the lookup-depth studies.
 pub fn baseline_miss_sequence(system: &SystemConfig, trace: &[AccessEvent]) -> Vec<u64> {
-    let mut l1 = scratch::cache(system.l1d);
+    let mut l1 = SetAssocCache::new(system.l1d);
     let mut out = Vec::new();
     for ev in trace {
         let line = ev.line();

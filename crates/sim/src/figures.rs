@@ -21,13 +21,13 @@ use domino_trace::workload::{catalog, WorkloadSpec};
 
 use crate::config::SystemConfig;
 use crate::engine::{
-    baseline_miss_sequence, run_coverage_observed, run_coverage_warmed, CoverageReport,
+    baseline_miss_sequence, run_coverage_observed, run_coverage_with_batch, CoverageReport,
 };
 use crate::exec;
-use crate::observe::TraceCell;
+use crate::observe::{TraceCell, DEFAULT_BATCH};
 use crate::report::FigureTable;
 use crate::roster::System;
-use crate::timing::{run_timing_observed, run_timing_warmed, TimingReport};
+use crate::timing::{run_timing_observed, run_timing_with_batch, TimingReport};
 use crate::trace_cache::shared_trace;
 
 /// How much trace to simulate per workload.
@@ -132,13 +132,14 @@ impl Cell {
         }
     }
 
-    /// Runs the cell on `spec`. An observed cell runs under the sweep's
-    /// epoch and trace capacity; either way it takes the engine's one
-    /// loop.
+    /// Runs the cell on `spec` in `batch`-event steps. An observed cell
+    /// runs under the sweep's epoch and trace capacity; either way it
+    /// takes the engine's one loop.
     fn simulate(
         self,
         spec: &WorkloadSpec,
         scale: &Scale,
+        batch: u32,
         epoch: Option<u64>,
         trace: Option<u64>,
     ) -> Ran {
@@ -160,7 +161,7 @@ impl Cell {
             None => Telemetry::off(),
         };
         if let Some(cap) = trace.filter(|_| observed) {
-            tel.enable_trace(cap as usize);
+            tel.enable_trace(usize::try_from(cap).expect("trace capacity fits in usize"));
         }
         let events = shared_trace(spec, scale.events, scale.seed);
         let mut p = sys.build(degree);
@@ -171,6 +172,7 @@ impl Cell {
                 &events,
                 p.as_mut(),
                 warmup,
+                batch,
                 &mut tel,
             ))
         } else {
@@ -179,6 +181,7 @@ impl Cell {
                 &events,
                 p.as_mut(),
                 warmup,
+                batch,
                 &mut tel,
             ))
         };
@@ -215,18 +218,22 @@ impl Cell {
     }
 }
 
-/// The explicit state of a figure run: the scale, worker count and
-/// observation settings every figure reads, the cells finished so far,
-/// and the reports and traces the observed ones deposited. Figures run
-/// through one sweep share their common cells; a figure that is timed
-/// or repeated on its own takes a [`Sweep::fresh`] one. The scale is
-/// fixed at construction, since finished cells are kept for it; set
-/// `epoch` and `trace` before the first figure runs.
+/// The explicit state of a figure run: the scale, worker count, event
+/// batch and observation settings every figure reads, the cells
+/// finished so far, and the reports and traces the observed ones
+/// deposited. Figures run through one sweep share their common cells;
+/// a figure that is timed or repeated on its own takes a
+/// [`Sweep::fresh`] one. The scale is fixed at construction, since
+/// finished cells are kept for it; set `batch`, `epoch` and `trace`
+/// before the first figure runs.
 #[derive(Debug)]
 pub struct Sweep {
     scale: Scale,
-    /// Worker threads for each batch of cells (see [`exec::sweep`]).
+    /// Worker threads for each round of cells (see [`exec::sweep`]).
     pub jobs: usize,
+    /// Events per coverage step and per timing pollution span (see
+    /// [`DEFAULT_BATCH`]); results are byte-identical at every size.
+    pub batch: u32,
     /// Telemetry epoch length of observed cells, in L1 misses; `None`
     /// is off.
     pub epoch: Option<u64>,
@@ -246,16 +253,19 @@ fn env_count(name: &str) -> Option<u64> {
 }
 
 impl Sweep {
-    /// A sweep at `scale` with nothing run yet. The job count comes from
-    /// `DOMINO_JOBS`, else the host's available parallelism; the epoch
-    /// from `DOMINO_EPOCH` and the trace capacity from `DOMINO_TRACE`
-    /// (unset or 0 is off). Callers overwrite the fields from their own
-    /// flags.
+    /// A sweep at `scale` and [`DEFAULT_BATCH`] with nothing run yet.
+    /// The job count comes from `DOMINO_JOBS`, else the host's available
+    /// parallelism; the epoch from `DOMINO_EPOCH` and the trace capacity
+    /// from `DOMINO_TRACE` (unset or 0 is off). Callers overwrite the
+    /// fields from their own flags.
     pub fn new(scale: Scale) -> Self {
         let host = || std::thread::available_parallelism().map_or(1, |n| n.get());
         Sweep {
             scale,
-            jobs: env_count("DOMINO_JOBS").map_or_else(host, |n| n as usize),
+            jobs: env_count("DOMINO_JOBS")
+                .and_then(|n| usize::try_from(n).ok())
+                .unwrap_or_else(host),
+            batch: DEFAULT_BATCH,
             epoch: env_count("DOMINO_EPOCH"),
             trace: env_count("DOMINO_TRACE"),
             done: HashMap::new(),
@@ -267,7 +277,8 @@ impl Sweep {
     /// A sweep with this one's settings and nothing run yet.
     pub fn fresh(&self) -> Self {
         let mut sweep = Sweep::new(self.scale);
-        (sweep.jobs, sweep.epoch, sweep.trace) = (self.jobs, self.epoch, self.trace);
+        (sweep.jobs, sweep.batch) = (self.jobs, self.batch);
+        (sweep.epoch, sweep.trace) = (self.epoch, self.trace);
         sweep
     }
 
@@ -312,10 +323,10 @@ impl Sweep {
                 todo.push(cell);
             }
         }
-        let (scale, epoch, trace) = (self.scale, self.epoch, self.trace);
+        let (scale, batch, epoch, trace) = (self.scale, self.batch, self.epoch, self.trace);
         let tasks = todo.iter().map(|&cell| {
             let spec = specs[cell.workload()].clone();
-            move || cell.simulate(&spec, &scale, epoch, trace)
+            move || cell.simulate(&spec, &scale, batch, epoch, trace)
         });
         for (cell, (outcome, report, recorded)) in todo.iter().zip(exec::sweep(self.jobs, tasks)) {
             self.reports.extend(report);
@@ -339,7 +350,8 @@ fn oracle_of(system: &SystemConfig, spec: &WorkloadSpec, scale: &Scale) -> Oracl
     let seq = miss_sequence(system, spec, scale);
     // The warmup is defined in accesses; misses are the large majority of
     // accesses in these models, so scale the prefix by the miss ratio.
-    let warmup = (scale.warmup() as f64 * seq.len() as f64 / scale.events.max(1) as f64) as usize;
+    let scaled = scale.warmup() as u128 * seq.len() as u128 / scale.events.max(1) as u128;
+    let warmup = usize::try_from(scaled).expect("a prefix of the sequence");
     oracle_replay(
         &seq,
         &OracleConfig {
@@ -513,7 +525,7 @@ fn domino_size_sweep(
 ) -> FigureTable {
     use domino::Domino;
     let system = SystemConfig::paper();
-    let scale = sweep.scale;
+    let (scale, batch) = (sweep.scale, sweep.batch);
     let cols: Vec<String> = sizes.iter().map(|&(_, n)| n.to_string()).collect();
     let mut t = FigureTable::new(title, "workload", cols);
     t.percent = true;
@@ -524,7 +536,7 @@ fn domino_size_sweep(
             move || {
                 let trace = shared_trace(&spec, scale.events, scale.seed);
                 let mut p = Domino::new(cfg_of(size));
-                run_coverage_warmed(&system, &trace, &mut p, scale.warmup()).coverage()
+                run_coverage_with_batch(&system, &trace, &mut p, scale.warmup(), batch).coverage()
             }
         })
     });
@@ -1042,7 +1054,7 @@ pub fn opportunity_methods(sweep: &Sweep) -> FigureTable {
 /// directly.
 pub fn mlp_sensitivity(sweep: &Sweep) -> FigureTable {
     let system = SystemConfig::paper();
-    let scale = sweep.scale;
+    let (scale, batch) = (sweep.scale, sweep.batch);
     let fracs = [0.1, 0.3, 0.5, 0.7, 0.9];
     let cols: Vec<String> = fracs.iter().map(|f| format!("dep={f:.1}")).collect();
     let mut t = FigureTable::new(
@@ -1062,7 +1074,7 @@ pub fn mlp_sensitivity(sweep: &Sweep) -> FigureTable {
                 spec.temporal.dependent_frac = f;
                 let trace = shared_trace(&spec, scale.events, scale.seed);
                 let mut p = sys.build(degree);
-                run_timing_warmed(&system, &trace, p.as_mut(), scale.warmup())
+                run_timing_with_batch(&system, &trace, p.as_mut(), scale.warmup(), batch)
             }
         })
     });

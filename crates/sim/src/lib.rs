@@ -28,6 +28,8 @@
 //! }
 //! ```
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod config;
 pub mod engine;
 pub mod exec;
@@ -36,7 +38,6 @@ pub mod multicore;
 pub mod observe;
 pub mod report;
 pub mod roster;
-pub(crate) mod scratch;
 pub mod stats;
 pub mod svg;
 pub mod timing;

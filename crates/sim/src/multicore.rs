@@ -21,6 +21,7 @@
 //! emulates the paper's vast datasets) for Figure 14 speedups, and this
 //! module for bandwidth and contention.
 
+use domino_mem::cache::SetAssocCache;
 use domino_mem::dram::Dram;
 use domino_mem::interface::Prefetcher;
 use domino_telemetry::Telemetry;
@@ -29,7 +30,6 @@ use domino_trace::workload::WorkloadSpec;
 
 use crate::config::SystemConfig;
 use crate::roster::System;
-use crate::scratch;
 use crate::timing::{CoreEngine, TimingReport};
 
 /// Result of a multi-core run.
@@ -103,7 +103,7 @@ pub fn run_multicore(
         prefetchers.len(),
         "one prefetcher per core required"
     );
-    let mut l2 = scratch::cache(system.l2);
+    let mut l2 = SetAssocCache::new(system.l2);
     let mut dram = Dram::new(system.memory);
     for (p, trace) in prefetchers.iter_mut().zip(traces.iter()) {
         p.reserve(trace.len());

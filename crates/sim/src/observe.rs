@@ -1,4 +1,4 @@
-//! Telemetry export for figure sweeps, and the event-batch knob.
+//! Telemetry export for figure sweeps, and the default event batch.
 //!
 //! Figure cells run on a [`crate::figures::Sweep`]; a cell that runs
 //! observed labels its [`RunReport`] and flight-recorder trace and the
@@ -18,17 +18,12 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use domino_telemetry::trace::TraceMeta;
 use domino_telemetry::{FlightRecorder, RunReport};
 
 /// Schema tag of the aggregate sweep file.
 pub const SWEEP_SCHEMA: &str = "domino-telemetry-sweep/1";
-
-/// `--batch` override; 0 = no override (fall back to `DOMINO_BATCH`),
-/// `u64::MAX` = explicitly one event, else the batch size.
-static BATCH_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 
 /// Default event-batch size. The batch sets only two things: the
 /// coverage engine's step (events walked per
@@ -48,30 +43,12 @@ pub struct TraceCell {
     pub recorder: FlightRecorder,
 }
 
-/// Sets (or clears) the event-batch-size override. `Some(0)` and
-/// `Some(1)` are normalised to one event. Takes precedence over
-/// `DOMINO_BATCH`.
-pub fn set_batch_override(batch: Option<u32>) {
-    let coded = match batch {
-        None => 0,
-        Some(0) | Some(1) => u64::MAX,
-        Some(n) => u64::from(n),
-    };
-    BATCH_OVERRIDE.store(coded, Ordering::SeqCst);
-}
-
-/// The effective event-batch size (see [`DEFAULT_BATCH`]): the
-/// override if set, else `DOMINO_BATCH`, else [`DEFAULT_BATCH`].
+/// Always [`DEFAULT_BATCH`]: the batch is an argument of the runs that
+/// take one (`Sweep::batch`, `run_*_with_batch`, `run_*_observed`).
+/// Kept only because the benchmark package prints it as its run
+/// setting; it goes when that package takes an explicit run spec.
 pub fn batch_size() -> u32 {
-    match BATCH_OVERRIDE.load(Ordering::SeqCst) {
-        0 => std::env::var("DOMINO_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(DEFAULT_BATCH),
-        u64::MAX => 1,
-        n => n as u32,
-    }
+    DEFAULT_BATCH
 }
 
 /// File-system-safe slug of a label (`Web Search` → `web_search`).
@@ -174,20 +151,6 @@ mod tests {
             epochs: vec![vec![5], vec![10]],
             histograms: Vec::new(),
             counters: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn batch_override_normalises_to_one_and_clears() {
-        set_batch_override(Some(7));
-        assert_eq!(batch_size(), 7);
-        set_batch_override(Some(1));
-        assert_eq!(batch_size(), 1, "Some(1) means one event");
-        set_batch_override(Some(0));
-        assert_eq!(batch_size(), 1, "Some(0) means one event");
-        set_batch_override(None);
-        if std::env::var("DOMINO_BATCH").is_err() {
-            assert_eq!(batch_size(), DEFAULT_BATCH);
         }
     }
 

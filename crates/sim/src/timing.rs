@@ -38,6 +38,8 @@
 //! effects (who is faster, where bandwidth goes) are what the model is
 //! for, and EXPERIMENTS.md compares those shapes against the paper.
 
+use std::collections::VecDeque;
+
 use domino_mem::cache::SetAssocCache;
 use domino_mem::dram::{Dram, TrafficCategory, TrafficStats};
 use domino_mem::interface::{CollectSink, Prefetcher, TriggerEvent};
@@ -49,8 +51,8 @@ use domino_trace::event::AccessEvent;
 use domino_trace::stream::{EventSource, TraceFileError};
 
 use crate::config::SystemConfig;
-use crate::engine::record_insert;
-use crate::scratch;
+use crate::engine::{record_insert, stamp};
+use crate::observe::DEFAULT_BATCH;
 
 /// Result of a timing run.
 #[derive(Debug, Clone)]
@@ -113,11 +115,13 @@ impl TimingReport {
 pub(crate) struct CoreEngine<'a> {
     pub(crate) now: f64,
     report: TimingReport,
-    l1: scratch::Pooled<SetAssocCache>,
-    buffer: scratch::Pooled<PrefetchBuffer>,
-    mshrs: scratch::Pooled<MshrFile>,
-    rob_q: scratch::Pooled<scratch::RobQueue>,
-    sink: scratch::Pooled<CollectSink>,
+    l1: SetAssocCache,
+    buffer: PrefetchBuffer,
+    mshrs: MshrFile,
+    /// Retirement constraints: `(instruction limit, data-ready time)`
+    /// per outstanding independent miss.
+    rob_q: VecDeque<(u64, f64)>,
+    sink: CollectSink,
     prefetcher: &'a mut dyn Prefetcher,
     // Cached parameters.
     per_inst: f64,
@@ -147,12 +151,12 @@ fn emit_timing_row(
     prefetcher: &dyn Prefetcher,
 ) {
     row.counter("instructions", report.instructions);
-    row.counter("now_ns", now as u64);
+    row.counter("now_ns", stamp(now));
     row.counter("timely_hits", report.timely_hits);
     row.counter("late_hits", report.late_hits);
     row.counter("full_misses", report.full_misses);
-    row.counter("dependent_stall_ns", report.dependent_stall_ns as u64);
-    row.counter("independent_stall_ns", report.independent_stall_ns as u64);
+    row.counter("dependent_stall_ns", stamp(report.dependent_stall_ns));
+    row.counter("independent_stall_ns", stamp(report.independent_stall_ns));
     l1.emit_counters("l1", row);
     buffer.emit_counters(row);
     mshrs.emit_counters("mshr", row);
@@ -182,11 +186,11 @@ impl<'a> CoreEngine<'a> {
                 full_misses: 0,
                 traffic: TrafficStats::default(),
             },
-            l1: scratch::cache(system.l1d),
-            buffer: scratch::buffer(system.prefetch_buffer_blocks),
-            mshrs: scratch::mshrs(system.l1d_mshrs),
-            rob_q: scratch::rob_queue(),
-            sink: scratch::sink(),
+            l1: SetAssocCache::new(system.l1d),
+            buffer: PrefetchBuffer::new(system.prefetch_buffer_blocks),
+            mshrs: MshrFile::new(system.l1d_mshrs),
+            rob_q: VecDeque::new(),
+            sink: CollectSink::new(),
             prefetcher,
             per_inst: cycle / f64::from(system.issue_width),
             l1_lat: f64::from(system.l1d_latency_cycles) * cycle,
@@ -259,10 +263,10 @@ impl<'a> CoreEngine<'a> {
                     if let Some(rec) = self.tel.tracer() {
                         // aux: how long the block sat ready before use.
                         rec.demand_hit(
-                            self.now as u64,
+                            stamp(self.now),
                             line.raw(),
                             entry.stream,
-                            (self.now - entry.ready_at).max(0.0) as u64,
+                            stamp((self.now - entry.ready_at).max(0.0)),
                         );
                     }
                     (self.now + self.l1_lat, true)
@@ -291,10 +295,10 @@ impl<'a> CoreEngine<'a> {
                     if let Some(rec) = self.tel.tracer() {
                         // aux: the residual wait the demand access eats.
                         rec.late_arrival(
-                            self.now as u64,
+                            stamp(self.now),
                             line.raw(),
                             entry.stream,
-                            (ready - self.now).max(0.0) as u64,
+                            stamp((ready - self.now).max(0.0)),
                         );
                     }
                     (ready, true)
@@ -305,7 +309,7 @@ impl<'a> CoreEngine<'a> {
                 if self.tel.has_tracer() {
                     let knows = self.prefetcher.knows_line(line);
                     if let Some(rec) = self.tel.tracer() {
-                        rec.demand_miss(self.now as u64, line.raw(), knows);
+                        rec.demand_miss(stamp(self.now), line.raw(), knows);
                     }
                 }
                 if l2.access(line) {
@@ -355,8 +359,8 @@ impl<'a> CoreEngine<'a> {
         } else {
             TriggerEvent::miss(ev.pc, line)
         };
-        self.prefetcher.on_trigger(&trigger, &mut *self.sink);
-        let now_ts = self.now as u64;
+        self.prefetcher.on_trigger(&trigger, &mut self.sink);
+        let now_ts = stamp(self.now);
         match self.tel.tracer() {
             Some(rec) => {
                 for &tag in &self.sink.replaced {
@@ -381,10 +385,10 @@ impl<'a> CoreEngine<'a> {
             }
             let done = dram.request(self.now, LINE_BYTES, TrafficCategory::MetadataRead);
             // Queueing makes the round trip exceed the raw 45 ns.
-            let trip = (done - self.now).max(0.0) as u64;
+            let trip = stamp((done - self.now).max(0.0));
             self.tel.record(self.meta_lat_hist, trip);
             if let Some(rec) = self.tel.tracer() {
-                rec.meta_end(done as u64, trip);
+                rec.meta_end(stamp(done), trip);
             }
         }
         for _ in 0..self.sink.meta_write_blocks {
@@ -414,7 +418,7 @@ impl<'a> CoreEngine<'a> {
             };
             let outcome = self.buffer.insert(req.line, arrival, req.stream);
             if let Some(rec) = self.tel.tracer() {
-                record_insert(rec, now_ts, req, outcome, arrival as u64);
+                record_insert(rec, now_ts, req, outcome, stamp(arrival));
             }
         }
         if self.tel.tick() {
@@ -455,8 +459,6 @@ impl<'a> CoreEngine<'a> {
     /// `traffic` should be the share of channel traffic attributed to the
     /// core (for a single core, everything).
     pub(crate) fn finish(mut self, traffic: TrafficStats) -> TimingReport {
-        // Drain in place (rather than `mem::take`) so the queue keeps its
-        // capacity when it returns to the scratch pool.
         while let Some((_, done)) = self.rob_q.pop_front() {
             if done > self.now {
                 self.report.independent_stall_ns += done - self.now;
@@ -499,7 +501,7 @@ pub fn run_timing_warmed(
     prefetcher: &mut dyn Prefetcher,
     warmup: usize,
 ) -> TimingReport {
-    run_timing_observed(system, trace, prefetcher, warmup, &mut Telemetry::off())
+    run_timing_with_batch(system, trace, prefetcher, warmup, DEFAULT_BATCH)
 }
 
 /// [`run_timing_warmed`] with a telemetry handle: per-epoch snapshots of
@@ -507,24 +509,24 @@ pub fn run_timing_warmed(
 /// latency and MSHR-occupancy histograms. The epoch clock ticks once per
 /// L1 miss.
 ///
-/// Observed and unobserved runs take the same span loop, in spans of the
-/// effective [`crate::observe::batch_size`] events.
+/// Observed and unobserved runs take the same span loop, in spans of
+/// `batch` events.
 pub fn run_timing_observed(
     system: &SystemConfig,
     trace: &[AccessEvent],
     prefetcher: &mut dyn Prefetcher,
     warmup: usize,
+    batch: u32,
     tel: &mut Telemetry,
 ) -> TimingReport {
-    let span = crate::observe::batch_size() as usize;
-    let mut run = TimingRun::new(system, prefetcher, tel, warmup, span, trace.len());
+    let mut run = TimingRun::new(system, prefetcher, tel, warmup, batch as usize, trace.len());
     run.feed(trace);
     run.finish()
 }
 
-/// [`run_timing_warmed`] in spans of `batch` events, ignoring the
-/// process-wide knob. Reports are byte-identical at every span size; the
-/// `domino-check` batch-parity oracle compares batch 1 with larger ones.
+/// [`run_timing_warmed`] in spans of `batch` events. Reports are
+/// byte-identical at every span size; the `domino-check` batch-parity
+/// oracle compares batch 1 with larger ones.
 pub fn run_timing_with_batch(
     system: &SystemConfig,
     trace: &[AccessEvent],
@@ -533,16 +535,7 @@ pub fn run_timing_with_batch(
     batch: u32,
 ) -> TimingReport {
     let mut tel = Telemetry::off();
-    let mut run = TimingRun::new(
-        system,
-        prefetcher,
-        &mut tel,
-        warmup,
-        batch as usize,
-        trace.len(),
-    );
-    run.feed(trace);
-    run.finish()
+    run_timing_observed(system, trace, prefetcher, warmup, batch, &mut tel)
 }
 
 /// [`run_timing_with_batch`] over an [`EventSource`]: the same span loop
@@ -590,7 +583,7 @@ const POLLUTE_PREFETCH_AHEAD: usize = 16;
 /// this driver and agree byte for byte at any span size.
 struct TimingRun<'a> {
     engine: CoreEngine<'a>,
-    l2: scratch::Pooled<SetAssocCache>,
+    l2: SetAssocCache,
     dram: Dram,
     /// Cross-core LLC pollution: two fills per other core per event.
     /// Server consolidation keeps the shared LLC under constant pressure
@@ -615,7 +608,7 @@ impl<'a> TimingRun<'a> {
         span: usize,
         expected_events: usize,
     ) -> Self {
-        let l2 = scratch::cache(system.l2);
+        let l2 = SetAssocCache::new(system.l2);
         prefetcher.reserve(expected_events);
         TimingRun {
             engine: CoreEngine::new(system, prefetcher, tel),

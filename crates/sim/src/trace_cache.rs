@@ -1,12 +1,14 @@
-//! Process-wide cache of generated workload traces.
+//! Caches of generated and file-backed workload traces.
 //!
 //! Figure runners used to call `spec.generator(seed).take(n)` afresh for
 //! every (prefetcher × degree × sweep-point) cell — regenerating the
 //! same 300k-event vector four or more times per figure and dozens of
-//! times per full `figures` run. This cache generates each distinct
+//! times per full `figures` run. A [`TraceCache`] generates each distinct
 //! `(spec, seed, events)` trace once and hands out `Arc<[AccessEvent]>`
 //! clones, which are cheap to share across the [`crate::exec`] worker
 //! threads (events are plain `Copy` data, so the slices are `Sync`).
+//! [`shared_trace`] and [`shared_file_trace`] look up one process-wide
+//! instance.
 //!
 //! Keys use the spec's `Debug` rendering: workload specs are plain
 //! config structs whose debug output covers every field, so two specs
@@ -15,16 +17,16 @@
 //!
 //! # Byte budget
 //!
-//! `DOMINO_TRACE_CACHE_BYTES=N` caps the resident bytes of cached
-//! traces (generated and file-backed alike). When a lookup pushes the
-//! total over the cap, whole least-recently-used entries are dropped —
-//! never partial traces — until the rest fit. Callers already holding
-//! an `Arc` keep their trace; eviction only stops *new* lookups from
+//! A cache built with a budget caps the resident bytes of its traces
+//! (generated and file-backed alike); the process-wide one takes its cap
+//! from `DOMINO_TRACE_CACHE_BYTES=N`. When a lookup pushes the total
+//! over the cap, whole least-recently-used entries are dropped — never
+//! partial traces — until the rest fit. Callers already holding an
+//! `Arc` keep their trace; eviction only stops *new* lookups from
 //! sharing it, so the cap bounds what the cache itself keeps alive.
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use domino_trace::event::AccessEvent;
@@ -33,11 +35,11 @@ use domino_trace::stream::{TraceFileError, TraceReader};
 use domino_trace::workload::WorkloadSpec;
 
 type Key = (String, u64, usize);
-type Cell<T> = Arc<OnceLock<T>>;
+type Cell = Arc<OnceLock<Arc<[AccessEvent]>>>;
 
-/// One trace entry plus its LRU stamp (the global tick at last lookup).
+/// One trace entry plus its LRU stamp (the cache's tick at last lookup).
 struct TraceSlot {
-    cell: Cell<Arc<[AccessEvent]>>,
+    cell: Cell,
     stamp: u64,
 }
 
@@ -48,172 +50,190 @@ struct TraceLru {
     tick: u64,
 }
 
-static TRACES: OnceLock<Mutex<TraceLru>> = OnceLock::new();
-
-fn traces() -> &'static Mutex<TraceLru> {
-    TRACES.get_or_init(Mutex::default)
+impl TraceLru {
+    /// Total bytes of the materialized traces in the map.
+    fn resident_bytes(&self) -> u64 {
+        self.map
+            .values()
+            .filter_map(|slot| slot.cell.get().map(trace_bytes))
+            .sum()
+    }
 }
 
 fn key_of(spec: &WorkloadSpec, events: usize, seed: u64) -> Key {
     (format!("{spec:?}"), seed, events)
 }
 
-/// Sentinel for "no test override in place" in [`BUDGET_OVERRIDE`].
-const NO_OVERRIDE: u64 = u64::MAX;
-
-/// Test override for the byte budget (tests can't safely mutate the
-/// environment of a threaded process).
-static BUDGET_OVERRIDE: AtomicU64 = AtomicU64::new(NO_OVERRIDE);
-
-/// The resident-byte cap on cached traces, if any: the test override
-/// when set, else `DOMINO_TRACE_CACHE_BYTES`.
-fn cache_budget() -> Option<u64> {
-    let over = BUDGET_OVERRIDE.load(Ordering::Relaxed);
-    if over != NO_OVERRIDE {
-        return Some(over);
-    }
-    static ENV: OnceLock<Option<u64>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("DOMINO_TRACE_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-    })
-}
-
-/// Forces the trace-cache byte budget regardless of the environment.
-/// Test hook — the budget tests run in their own integration-test
-/// process so this cannot race the figure runners.
-#[doc(hidden)]
-pub fn set_cache_budget_for_tests(bytes: Option<u64>) {
-    BUDGET_OVERRIDE.store(bytes.unwrap_or(NO_OVERRIDE), Ordering::Relaxed);
-}
-
 fn trace_bytes(trace: &Arc<[AccessEvent]>) -> u64 {
     (trace.len() * std::mem::size_of::<AccessEvent>()) as u64
 }
 
-/// Total bytes of materialized traces the cache currently keeps alive.
-pub fn resident_trace_bytes() -> u64 {
-    let lru = traces().lock().expect("unpoisoned");
-    lru.map
-        .values()
-        .filter_map(|slot| slot.cell.get().map(trace_bytes))
-        .sum()
+/// A least-recently-used cache of traces, optionally capped at a number
+/// of resident bytes. Lookups from many threads share one
+/// materialization per key.
+pub struct TraceCache {
+    lru: Mutex<TraceLru>,
+    budget: Option<u64>,
 }
 
-/// Number of materialized trace entries currently cached.
-pub fn resident_trace_entries() -> usize {
-    let lru = traces().lock().expect("unpoisoned");
-    lru.map.values().filter(|s| s.cell.get().is_some()).count()
-}
+impl TraceCache {
+    /// An empty cache that keeps at most `budget` bytes of traces
+    /// resident (`None` is unbounded).
+    pub fn new(budget: Option<u64>) -> Self {
+        TraceCache {
+            lru: Mutex::default(),
+            budget,
+        }
+    }
 
-/// Fetches (or inserts) `key`'s cell and stamps it most-recently-used.
-fn touch(key: Key) -> Cell<Arc<[AccessEvent]>> {
-    let mut lru = traces().lock().expect("unpoisoned");
-    lru.tick += 1;
-    let tick = lru.tick;
-    let slot = lru.map.entry(key).or_insert_with(|| TraceSlot {
-        cell: Cell::default(),
-        stamp: 0,
-    });
-    slot.stamp = tick;
-    Arc::clone(&slot.cell)
-}
+    /// Total bytes of materialized traces the cache currently keeps alive.
+    pub fn resident_bytes(&self) -> u64 {
+        self.lru.lock().expect("unpoisoned").resident_bytes()
+    }
 
-/// Drops least-recently-used materialized entries (whole traces, never
-/// partial) until the cache fits the byte budget. `keep` — the entry
-/// the caller just materialized — is never dropped: evicting the trace
-/// being handed out would defeat the sharing the cache exists for.
-fn enforce_budget(keep: &Key) {
-    let Some(budget) = cache_budget() else {
-        return;
-    };
-    let mut lru = traces().lock().expect("unpoisoned");
-    loop {
-        let total: u64 = lru
-            .map
-            .values()
-            .filter_map(|slot| slot.cell.get().map(trace_bytes))
-            .sum();
-        if total <= budget {
+    /// Number of materialized trace entries currently cached.
+    pub fn resident_entries(&self) -> usize {
+        let lru = self.lru.lock().expect("unpoisoned");
+        lru.map.values().filter(|s| s.cell.get().is_some()).count()
+    }
+
+    /// Fetches (or inserts) `key`'s cell and stamps it most-recently-used.
+    fn touch(&self, key: Key) -> Cell {
+        let mut lru = self.lru.lock().expect("unpoisoned");
+        lru.tick += 1;
+        let tick = lru.tick;
+        let slot = lru.map.entry(key).or_insert_with(|| TraceSlot {
+            cell: Cell::default(),
+            stamp: 0,
+        });
+        slot.stamp = tick;
+        Arc::clone(&slot.cell)
+    }
+
+    /// Drops least-recently-used materialized entries (whole traces,
+    /// never partial) until the cache fits the byte budget. `keep` — the
+    /// entry the caller just materialized — is never dropped: evicting
+    /// the trace being handed out would defeat the sharing the cache
+    /// exists for.
+    fn enforce_budget(&self, keep: &Key) {
+        let Some(budget) = self.budget else {
             return;
-        }
-        // Oldest materialized entry other than `keep`. Cells still
-        // generating are skipped: their size is unknown and their
-        // generating thread holds the cell regardless.
-        let victim = lru
-            .map
-            .iter()
-            .filter(|(k, slot)| slot.cell.get().is_some() && *k != keep)
-            .min_by_key(|(_, slot)| slot.stamp)
-            .map(|(k, _)| k.clone());
-        match victim {
-            Some(k) => {
-                lru.map.remove(&k);
+        };
+        let mut lru = self.lru.lock().expect("unpoisoned");
+        while lru.resident_bytes() > budget {
+            // Oldest materialized entry other than `keep`. Cells still
+            // generating are skipped: their size is unknown and their
+            // generating thread holds the cell regardless.
+            let victim = lru
+                .map
+                .iter()
+                .filter(|(k, slot)| slot.cell.get().is_some() && *k != keep)
+                .min_by_key(|(_, slot)| slot.stamp)
+                .map(|(k, _)| k.clone());
+            match victim {
+                Some(k) => {
+                    lru.map.remove(&k);
+                }
+                None => return,
             }
-            None => return,
         }
+    }
+
+    /// Returns the `events`-long trace of `spec` at `seed`, generating it
+    /// at most once while it stays cached. Concurrent callers for the
+    /// *same* key block only on that key's generation (the map lock is
+    /// held just to fetch the cell), so distinct workloads generate in
+    /// parallel.
+    pub fn trace(&self, spec: &WorkloadSpec, events: usize, seed: u64) -> Arc<[AccessEvent]> {
+        let key = key_of(spec, events, seed);
+        let cell = self.touch(key.clone());
+        let out = cell
+            .get_or_init(|| spec.generator(seed).take(events).collect::<Vec<_>>().into())
+            .clone();
+        self.enforce_budget(&key);
+        out
+    }
+
+    /// Returns up to `max_events` events of the `DMNOTRC1` file at
+    /// `path`, decoded at most once while it stays cached and shared as
+    /// an `Arc` slice — the file-backed analogue of [`TraceCache::trace`],
+    /// letting thousands of service tenants window one decoded trace.
+    /// Counts against the same byte budget (and LRU) as generated traces.
+    ///
+    /// `max_events = 0` means the whole file. Keyed by `(path,
+    /// max_events)`; a file that changes on disk while cached is not
+    /// re-read.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the reader's open and decode errors.
+    pub fn file_trace(
+        &self,
+        path: &Path,
+        max_events: usize,
+    ) -> Result<Arc<[AccessEvent]>, TraceFileError> {
+        let load = || -> Result<Arc<[AccessEvent]>, TraceFileError> {
+            let mut reader = TraceReader::open(path)?;
+            let want = if max_events == 0 {
+                usize::try_from(reader.events()).unwrap_or(usize::MAX)
+            } else {
+                max_events
+            };
+            let mut events: Vec<AccessEvent> = Vec::new();
+            let mut chunk = Vec::new();
+            for idx in 0..reader.chunk_count() {
+                if events.len() >= want {
+                    break;
+                }
+                reader.read_chunk_into(idx, &mut chunk)?;
+                let take = chunk.len().min(want - events.len());
+                events.extend_from_slice(&chunk[..take]);
+            }
+            Ok(events.into())
+        };
+        let key = (format!("file:{}", path.display()), 0, max_events);
+        let cell = self.touch(key.clone());
+        // `OnceLock::get_or_init` cannot fail out, so decode before
+        // filling: a read error is returned (and retried next call),
+        // never cached.
+        let out = match cell.get() {
+            Some(t) => t.clone(),
+            None => {
+                let fresh = load()?;
+                cell.get_or_init(|| fresh).clone()
+            }
+        };
+        self.enforce_budget(&key);
+        Ok(out)
     }
 }
 
-/// Returns the `events`-long trace of `spec` at `seed`, generating it at
-/// most once per process. Concurrent callers for the *same* key block
-/// only on that key's generation (the map lock is held just to fetch the
-/// cell), so distinct workloads generate in parallel.
-pub fn shared_trace(spec: &WorkloadSpec, events: usize, seed: u64) -> Arc<[AccessEvent]> {
-    let key = key_of(spec, events, seed);
-    let cell = touch(key.clone());
-    let out = cell
-        .get_or_init(|| spec.generator(seed).take(events).collect::<Vec<_>>().into())
-        .clone();
-    enforce_budget(&key);
-    out
+/// The process-wide cache behind [`shared_trace`] and
+/// [`shared_file_trace`], budgeted by `DOMINO_TRACE_CACHE_BYTES` (read
+/// once, at first use).
+fn shared() -> &'static TraceCache {
+    static SHARED: OnceLock<TraceCache> = OnceLock::new();
+    SHARED.get_or_init(|| {
+        TraceCache::new(
+            std::env::var("DOMINO_TRACE_CACHE_BYTES")
+                .ok()
+                .and_then(|v| v.trim().parse().ok()),
+        )
+    })
 }
 
-/// Returns up to `max_events` events of the `DMNOTRC1` file at `path`,
-/// decoded at most once per process and shared as an `Arc` slice — the
-/// file-backed analogue of [`shared_trace`], letting thousands of
-/// service tenants window one decoded trace. Counts against the same
-/// byte budget (and LRU) as generated traces.
-///
-/// `max_events = 0` means the whole file. Keyed by `(path, max_events)`;
-/// a file that changes on disk mid-process is not re-read.
+/// [`TraceCache::trace`] on the process-wide cache: the trace is
+/// generated at most once per process while it stays cached.
+pub fn shared_trace(spec: &WorkloadSpec, events: usize, seed: u64) -> Arc<[AccessEvent]> {
+    shared().trace(spec, events, seed)
+}
+
+/// [`TraceCache::file_trace`] on the process-wide cache.
 pub fn shared_file_trace(
     path: &Path,
     max_events: usize,
 ) -> Result<Arc<[AccessEvent]>, TraceFileError> {
-    let load = || -> Result<Arc<[AccessEvent]>, TraceFileError> {
-        let mut reader = TraceReader::open(path)?;
-        let want = if max_events == 0 {
-            usize::try_from(reader.events()).unwrap_or(usize::MAX)
-        } else {
-            max_events
-        };
-        let mut events: Vec<AccessEvent> = Vec::new();
-        let mut chunk = Vec::new();
-        for idx in 0..reader.chunk_count() {
-            if events.len() >= want {
-                break;
-            }
-            reader.read_chunk_into(idx, &mut chunk)?;
-            let take = chunk.len().min(want - events.len());
-            events.extend_from_slice(&chunk[..take]);
-        }
-        Ok(events.into())
-    };
-    let key = (format!("file:{}", path.display()), 0, max_events);
-    let cell = touch(key.clone());
-    // `OnceLock::get_or_init` cannot fail out, so decode before filling:
-    // a read error is returned (and retried next call), never cached.
-    let out = match cell.get() {
-        Some(t) => t.clone(),
-        None => {
-            let fresh = load()?;
-            cell.get_or_init(|| fresh).clone()
-        }
-    };
-    enforce_budget(&key);
-    Ok(out)
+    shared().file_trace(path, max_events)
 }
 
 /// A tenant's view into a shared base trace: a contiguous window of a

@@ -1,87 +1,80 @@
-//! Byte-budget tests for [`domino_sim::trace_cache`]: the cache must
-//! drop whole least-recently-used entries once resident bytes exceed
-//! the budget, keep the entry it is handing out, and stay correct under
-//! concurrent lookups. Runs in its own process (integration test), so
-//! the budget override cannot leak into other suites.
+//! Byte-budget tests for [`domino_sim::trace_cache::TraceCache`]: the
+//! cache must drop whole least-recently-used entries once resident bytes
+//! exceed its budget, keep the entry it is handing out, and stay correct
+//! under concurrent lookups. Each test builds its own cache, so the
+//! tests share nothing and run in parallel.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 
-use domino_sim::trace_cache::{
-    resident_trace_bytes, resident_trace_entries, set_cache_budget_for_tests, shared_trace,
-};
+use domino_sim::trace_cache::TraceCache;
 use domino_trace::workload::catalog;
 
 const EVENT_BYTES: u64 = std::mem::size_of::<domino_trace::AccessEvent>() as u64;
 
-/// The budget override and the cache are process-global; tests that
-/// change the budget must not interleave.
-static BUDGET_LOCK: Mutex<()> = Mutex::new(());
-
 #[test]
 fn budget_evicts_lru_entries_and_keeps_the_newest() {
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Room for roughly two 10k-event traces.
     let events = 10_000usize;
-    set_cache_budget_for_tests(Some(2 * events as u64 * EVENT_BYTES + 1024));
+    let cache = TraceCache::new(Some(2 * events as u64 * EVENT_BYTES + 1024));
     // Distinct seeds → distinct entries of equal size.
-    let a = shared_trace(&catalog::oltp(), events, 0xB0D6_0001);
-    let b = shared_trace(&catalog::oltp(), events, 0xB0D6_0002);
-    assert!(resident_trace_bytes() <= 2 * events as u64 * EVENT_BYTES + 1024);
+    let a = cache.trace(&catalog::oltp(), events, 0xB0D6_0001);
+    let b = cache.trace(&catalog::oltp(), events, 0xB0D6_0002);
+    assert!(cache.resident_bytes() <= 2 * events as u64 * EVENT_BYTES + 1024);
     // A third entry pushes the total over budget: the oldest (a) must
     // go, the newest must stay resident.
-    let c = shared_trace(&catalog::oltp(), events, 0xB0D6_0003);
+    let c = cache.trace(&catalog::oltp(), events, 0xB0D6_0003);
     assert!(
-        resident_trace_bytes() <= 2 * events as u64 * EVENT_BYTES + 1024,
+        cache.resident_bytes() <= 2 * events as u64 * EVENT_BYTES + 1024,
         "resident {} bytes exceeds the budget",
-        resident_trace_bytes()
+        cache.resident_bytes()
     );
     // Held Arcs keep their traces alive and correct regardless of
     // eviction.
     assert_eq!(a.len(), events);
     assert_ne!(a[..], b[..]);
     // `c` was just inserted, so a repeat lookup still shares it ...
-    let c2 = shared_trace(&catalog::oltp(), events, 0xB0D6_0003);
+    let c2 = cache.trace(&catalog::oltp(), events, 0xB0D6_0003);
     assert!(Arc::ptr_eq(&c, &c2), "newest entry must survive eviction");
     // ... while the evicted key regenerates into a fresh allocation
     // with identical contents.
-    let a2 = shared_trace(&catalog::oltp(), events, 0xB0D6_0001);
+    let a2 = cache.trace(&catalog::oltp(), events, 0xB0D6_0001);
     assert!(
         !Arc::ptr_eq(&a, &a2),
         "oldest entry should have been evicted"
     );
     assert_eq!(a[..], a2[..]);
-    set_cache_budget_for_tests(None);
 }
 
 #[test]
 fn tiny_budget_still_serves_every_request() {
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Budget below a single trace: every lookup materializes, hands the
     // trace out, and the cache immediately sheds everything except the
     // entry in hand.
-    set_cache_budget_for_tests(Some(1));
+    let cache = TraceCache::new(Some(1));
     let events = 2_000usize;
     let threads = 8;
-    let barrier = Arc::new(Barrier::new(threads));
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let trace = shared_trace(&catalog::web_search(), events, 0xC0FF_EE00 + t as u64);
-                assert_eq!(trace.len(), events);
-                trace
+    let barrier = Barrier::new(threads);
+    let traces: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (cache, barrier) = (&cache, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    let trace = cache.trace(&catalog::web_search(), events, 0xC0FF_EE00 + t as u64);
+                    assert_eq!(trace.len(), events);
+                    trace
+                })
             })
-        })
-        .collect();
-    let traces: Vec<_> = handles
-        .into_iter()
-        .map(|h| h.join().expect("no thread panicked"))
-        .collect();
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no thread panicked"))
+            .collect()
+    });
     // All eight traces are alive in our hands; the cache itself keeps at
     // most one materialized entry (the most recent lookup's).
     assert!(
-        resident_trace_entries() <= 1,
+        cache.resident_entries() <= 1,
         "cache held more than the newest entry"
     );
     for (i, t) in traces.iter().enumerate() {
@@ -91,5 +84,4 @@ fn tiny_budget_still_serves_every_request() {
             .collect();
         assert_eq!(&t[..], &direct[..], "seed {i} trace corrupted by eviction");
     }
-    set_cache_budget_for_tests(None);
 }

@@ -280,10 +280,9 @@ impl SpanFile {
     /// Returns a description of the first malformation found.
     pub fn from_bytes(b: &[u8]) -> Result<SpanFile, String> {
         let need = |pos: usize, n: usize| -> Result<(), String> {
-            if pos + n > b.len() {
-                Err(format!("truncated span file at offset {pos}"))
-            } else {
-                Ok(())
+            match pos.checked_add(n) {
+                Some(end) if end <= b.len() => Ok(()),
+                _ => Err(format!("truncated span file at offset {pos}")),
             }
         };
         need(0, 16)?;
@@ -311,9 +310,16 @@ impl SpanFile {
         pos += 8;
         let recorded = u64::from_le_bytes(b[pos..pos + 8].try_into().expect("8 bytes"));
         pos += 8;
-        let count = u64::from_le_bytes(b[pos..pos + 8].try_into().expect("8 bytes")) as usize;
+        let count = u64::from_le_bytes(b[pos..pos + 8].try_into().expect("8 bytes"));
         pos += 8;
-        need(pos, count * SPAN_RECORD_BYTES)?;
+        // Bound the declared count by the bytes present before sizing
+        // anything by it: a hostile count must not overflow or allocate.
+        let count = usize::try_from(count)
+            .ok()
+            .filter(|&n| n <= (b.len() - pos) / SPAN_RECORD_BYTES)
+            .ok_or_else(|| {
+                format!("truncated span file at offset {pos}: {count} spans declared")
+            })?;
         let spans: Vec<SpanRecord> = (0..count)
             .map(|i| SpanRecord::from_bytes(&b[pos + i * SPAN_RECORD_BYTES..]))
             .collect();
@@ -491,6 +497,22 @@ mod tests {
         let mut trailing = ring.to_bytes("s", SpanSampler::new(0, 0));
         trailing.push(0);
         assert!(SpanFile::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_hostile_span_count() {
+        // Header, empty source, rate 1, seed 0, capacity 4, recorded 4,
+        // then a count whose byte size overflows `usize`.
+        for count in [1u64 << 58, u64::MAX] {
+            let mut bytes = SpanRing::new(4).to_bytes("", SpanSampler::new(1, 0));
+            bytes.truncate(bytes.len() - 24);
+            for field in [4u64, 4, count] {
+                bytes.extend_from_slice(&field.to_le_bytes());
+            }
+            assert_eq!(bytes.len(), 56);
+            let err = SpanFile::from_bytes(&bytes).expect_err("hostile count must be an error");
+            assert!(err.contains("truncated"), "{err}");
+        }
     }
 
     #[test]

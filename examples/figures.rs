@@ -20,10 +20,10 @@
 //! `DOMINO_JOBS` environment variable, else the host's available
 //! parallelism. Output tables are byte-identical at any job count.
 //!
-//! `--batch N` (else `DOMINO_BATCH`, else a tuned default) sets the
-//! coverage engine's step and the timing engine's pollution span, in
-//! events. Every table, telemetry file and trace file is byte-identical
-//! at any batch size — the `batch_parity` checker oracle enforces this.
+//! `--batch N` (else a tuned default) sets the sweep's coverage step
+//! and timing pollution span, in events. Every table, telemetry file
+//! and trace file is byte-identical at any batch size — the
+//! `batch_parity` checker oracle enforces this.
 //!
 //! Each run also writes `BENCH_sweep.json` (to the output directory if
 //! one is given, else the working directory): per-figure wall-clock and
@@ -98,7 +98,7 @@ struct RivalPoint {
 /// per-system regression rule. Passes are interleaved across systems and
 /// the median taken per system, so host clock drift between runs cancels
 /// instead of biasing whichever system ran last.
-fn rivals_bench(scale: &Scale) -> Vec<RivalPoint> {
+fn rivals_bench(scale: &Scale, batch: u32) -> Vec<RivalPoint> {
     // Floor the trace length: at figure-smoke scales a replay lasts
     // milliseconds and the ratio would measure thread startup.
     let bench_events = scale.events.max(60_000);
@@ -107,7 +107,6 @@ fn rivals_bench(scale: &Scale) -> Vec<RivalPoint> {
         .take(bench_events)
         .collect();
     let cfg = SystemConfig::paper();
-    let batch = observe::batch_size();
     const PASSES: usize = 3;
     let roster = rivals_roster();
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(PASSES); roster.len()];
@@ -145,7 +144,7 @@ fn rivals_bench(scale: &Scale) -> Vec<RivalPoint> {
 /// ratio and the peak-resident bound. Returns the per-source points plus
 /// the best file/cached throughput ratio over temporally adjacent passes
 /// (the noise-immune form of the out-of-core speed bound).
-fn streaming_bench(scale: &Scale) -> (Vec<StreamingPoint>, f64) {
+fn streaming_bench(scale: &Scale, batch: u32) -> (Vec<StreamingPoint>, f64) {
     // Floor the trace length: at figure-smoke scales a replay lasts
     // milliseconds and the streamed/cached ratio would measure thread
     // startup, not throughput.
@@ -163,7 +162,6 @@ fn streaming_bench(scale: &Scale) -> (Vec<StreamingPoint>, f64) {
     write_trace_file(&seq, &events, chunk_events, Codec::Sequitur).expect("write seq trace");
 
     let cfg = SystemConfig::paper();
-    let batch = observe::batch_size();
 
     // Three interleaved passes of cached -> file -> sequitur. Hosts
     // (especially shared CI machines) drift in clock frequency between
@@ -243,7 +241,7 @@ fn streaming_bench(scale: &Scale) -> (Vec<StreamingPoint>, f64) {
 fn main() {
     let mut events: Option<usize> = None;
     let mut out_dir: Option<std::path::PathBuf> = None;
-    let (mut jobs, mut epoch, mut trace) = (None, None, None);
+    let (mut jobs, mut batch, mut epoch, mut trace) = (None, None, None, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--jobs" {
@@ -257,7 +255,7 @@ fn main() {
                 .next()
                 .and_then(|s| s.parse().ok())
                 .expect("--batch needs a positive integer");
-            observe::set_batch_override(Some(n));
+            batch = Some(n);
         } else if arg == "--epoch" {
             let n: u64 = args
                 .next()
@@ -284,6 +282,10 @@ fn main() {
     let mut sweep = Sweep::new(scale);
     if let Some(n) = jobs.filter(|&n| n > 0) {
         sweep.jobs = n;
+    }
+    // `--batch 0` means one event per step, like `--batch 1`.
+    if let Some(n) = batch {
+        sweep.batch = n.max(1);
     }
     // `--epoch 0` / `--trace 0` switch observation off explicitly.
     if let Some(n) = epoch {
@@ -405,11 +407,11 @@ fn main() {
     // Out-of-core replay throughput: cached slice vs streamed file vs
     // streamed compressed file, one heavy timing cell each.
     eprintln!("streaming throughput (cached / file / sequitur)...");
-    let (streaming, stream_ratio) = streaming_bench(&scale);
+    let (streaming, stream_ratio) = streaming_bench(&scale, sweep.batch);
 
     // Per-system replay throughput of the modern-rivals roster.
     eprintln!("rivals throughput (one OLTP timing cell each)...");
-    let rival_points = rivals_bench(&scale);
+    let rival_points = rivals_bench(&scale, sweep.batch);
 
     let out_base = out_dir
         .as_deref()
@@ -427,6 +429,7 @@ fn main() {
             total,
             events,
             jobs,
+            sweep.batch,
         ),
     )
     .expect("write bench");
@@ -466,6 +469,7 @@ fn bench_json(
     total: f64,
     events: usize,
     jobs: usize,
+    batch: u32,
 ) -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -474,7 +478,7 @@ fn bench_json(
     out.push_str("  \"schema\": \"domino-bench-sweep/4\",\n");
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
     out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str(&format!("  \"batch\": {},\n", observe::batch_size()));
+    out.push_str(&format!("  \"batch\": {batch},\n"));
     out.push_str(&format!("  \"events_per_workload\": {events},\n"));
     out.push_str(&format!("  \"total_seconds\": {total:.3},\n"));
     out.push_str("  \"figures\": [\n");

@@ -5,12 +5,14 @@
 //! test binary only. For every prefetcher in the paper roster (plus the
 //! baseline) and both engines, we replay a repeating trace until every
 //! structure has saturated — prefetcher metadata maps hold their full key
-//! set, thread-local scratch pools are populated, arenas are carved —
-//! then measure the allocation count of a short run and of a 4× longer
-//! run. If the event loop allocated per event, the long run would show
-//! thousands more allocations; instead both runs must cost the same
-//! per-run constant (report strings, one histogram, at most one arena
-//! `reserve` growth), which the delta comparison cancels out.
+//! set, arenas are carved — then measure the allocation count of a short
+//! run and of a 4× longer run. If the event loop allocated per event, the
+//! long run would show thousands more allocations; instead both runs
+//! must cost the same per-run constant (report strings, one histogram,
+//! the engine's own caches and buffers, at most one arena `reserve`
+//! growth), which the delta comparison cancels out. That constant must
+//! not depend on the thread a run starts on: a run builds its own state
+//! and keeps none behind for the next run.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -121,9 +123,8 @@ fn assert_allocation_free(engine: Engine) {
     let large = repeated(&base, 8);
     for system in roster() {
         let mut p = system.build(4);
-        // Warmup: saturate metadata, carve arenas, populate the
-        // thread-local scratch pools. Large first so the small runs
-        // never see a structure at a new high-water mark.
+        // Warmup: saturate metadata and carve arenas. Large first so the
+        // small runs never see a structure at a new high-water mark.
         run_once(engine, &sys, &large, &mut *p);
         run_once(engine, &sys, &small, &mut *p);
         let ((), small_allocs) = counted(|| run_once(engine, &sys, &small, &mut *p));
@@ -140,6 +141,31 @@ fn assert_allocation_free(engine: Engine) {
             small_allocs <= PER_RUN_CEILING,
             "{} / {engine:?}: {small_allocs} allocations in a warmed run \
              exceeds the per-run constant ceiling of {PER_RUN_CEILING}",
+            system.label(),
+        );
+    }
+}
+
+/// A warmed run allocates no more on a fresh thread than on the thread
+/// that warmed it: nothing a run relies on is kept per thread.
+fn assert_no_per_thread_state(engine: Engine) {
+    let sys = SystemConfig::paper();
+    let base: Vec<AccessEvent> = catalog::oltp().generator(7).take(1500).collect();
+    let trace = repeated(&base, 2);
+    for system in roster() {
+        let mut p = system.build(4);
+        run_once(engine, &sys, &trace, &mut *p);
+        run_once(engine, &sys, &trace, &mut *p);
+        let ((), here) = counted(|| run_once(engine, &sys, &trace, &mut *p));
+        let ((), fresh) = std::thread::scope(|s| {
+            s.spawn(|| counted(|| run_once(engine, &sys, &trace, &mut *p)))
+                .join()
+                .expect("the run does not panic")
+        });
+        assert!(
+            fresh <= here + RESERVE_SLACK,
+            "{} / {engine:?}: {fresh} allocations on a fresh thread vs {here} \
+             on the warmed one — the run depends on per-thread state",
             system.label(),
         );
     }
@@ -162,4 +188,14 @@ fn coverage_engine_is_allocation_free_per_event() {
 #[test]
 fn timing_engine_is_allocation_free_per_event() {
     assert_allocation_free(Engine::Timing);
+}
+
+#[test]
+fn coverage_run_carries_no_per_thread_state() {
+    assert_no_per_thread_state(Engine::Coverage);
+}
+
+#[test]
+fn timing_run_carries_no_per_thread_state() {
+    assert_no_per_thread_state(Engine::Timing);
 }

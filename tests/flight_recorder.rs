@@ -8,6 +8,7 @@
 //! engines, and pin the recorder's covered count to the engine's own
 //! coverage numerator when no warmup excludes events from either side.
 
+use domino_repro::sim::observe::DEFAULT_BATCH;
 use domino_repro::sim::{
     run_coverage_observed, run_timing_observed, shared_trace, Scale, System, SystemConfig,
 };
@@ -35,7 +36,8 @@ fn coverage_attribution_is_conserved_on_every_roster_cell() {
         for sys in System::paper_roster() {
             let mut p = sys.build(4);
             let mut tel = traced();
-            let report = run_coverage_observed(&system, &trace, p.as_mut(), 0, &mut tel);
+            let report =
+                run_coverage_observed(&system, &trace, p.as_mut(), 0, DEFAULT_BATCH, &mut tel);
             let rec = tel.take_tracer().expect("tracer enabled");
             assert!(rec.wrapped(), "ring of 512 must wrap at this scale");
             let a = rec.attribution();
@@ -68,7 +70,7 @@ fn timing_attribution_is_conserved_on_every_roster_cell() {
     for sys in System::paper_roster() {
         let mut p = sys.build(4);
         let mut tel = traced();
-        let _report = run_timing_observed(&system, &trace, p.as_mut(), 0, &mut tel);
+        let _report = run_timing_observed(&system, &trace, p.as_mut(), 0, DEFAULT_BATCH, &mut tel);
         let rec = tel.take_tracer().expect("tracer enabled");
         let a = rec.attribution();
         let cell = format!("{} / {}", spec.name, sys.label());

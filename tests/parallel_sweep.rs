@@ -11,7 +11,6 @@
 //! in individual runners.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 use domino_repro::sim::figures::{
     self, bandwidth_utilization, fig01, fig02, fig03, fig04, fig05, fig06, fig09, fig10, fig11,
@@ -19,12 +18,8 @@ use domino_repro::sim::figures::{
 };
 use domino_repro::sim::{observe, FigureTable};
 
-/// The batch override is process-global; the two tests that set it
-/// must not interleave.
-static BATCH_LOCK: Mutex<()> = Mutex::new(());
-
 /// A fresh sweep at `scale` on `jobs` workers with the given epoch and
-/// trace capacity, whatever the environment says.
+/// trace capacity, whatever the environment says, at the default batch.
 fn sweep(scale: Scale, jobs: usize, epoch: Option<u64>, trace: Option<u64>) -> Sweep {
     let mut sweep = Sweep::new(scale);
     sweep.jobs = jobs;
@@ -119,16 +114,13 @@ fn trace_files_are_byte_identical_at_any_job_count() {
 
 #[test]
 fn figures_are_byte_identical_at_any_batch_size() {
-    let _guard = BATCH_LOCK.lock().expect("unpoisoned");
     let run = |batch| {
-        observe::set_batch_override(Some(batch));
         let mut sweep = sweep(SCALE, 2, None, None);
-        let out = (
+        sweep.batch = batch;
+        (
             format!("{}", fig01(&mut sweep)),
             format!("{}", fig14(&mut sweep)),
-        );
-        observe::set_batch_override(None);
-        out
+        )
     };
     let one = run(1);
     for batch in [2, 7, 64] {
@@ -142,15 +134,13 @@ fn figures_are_byte_identical_at_any_batch_size() {
 
 #[test]
 fn telemetry_json_is_byte_identical_at_any_batch_size() {
-    let _guard = BATCH_LOCK.lock().expect("unpoisoned");
     let run = |batch| {
-        observe::set_batch_override(Some(batch));
         let mut sweep = sweep(SCALE, 2, Some(5_000), Some(4_096));
+        sweep.batch = batch;
         let mut tables: Vec<String> = fig13(&mut sweep).iter().map(|t| format!("{t}")).collect();
         tables.push(format!("{}", fig14(&mut sweep)));
         let reports = sweep.take_reports();
         let traces = sweep.take_traces();
-        observe::set_batch_override(None);
         assert!(
             !reports.is_empty(),
             "observed figures produced no telemetry"

@@ -6,7 +6,7 @@
 # as a pre-push hook or CI step in air-gapped environments.
 #
 #   tools/check.sh          # everything
-#   tools/check.sh --fast   # fmt + clippy only
+#   tools/check.sh --fast   # fmt + clippy + no-globals only
 #
 # A per-stage timing summary is printed at the end.
 
@@ -46,6 +46,24 @@ cargo fmt --check
 mark clippy
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+mark no-globals
+echo "==> no process-global mutable state in the library crates"
+# A thread-local, or a static lock, once-cell, Cell or atomic, is state
+# one run leaves behind for the next. The one allowed hit is the
+# process-wide trace cache in crates/sim/src/trace_cache.rs, which the
+# benchmark's service API still decodes through. The checker and test
+# files are out of scope (their counting allocators are per test).
+globals=$(grep -rnE 'thread_local!|^\s*(pub(\([a-z]+\))?\s+)?static\s+(mut\s+)?[A-Za-z_0-9]+\s*:[^=]*(Mutex|RwLock|OnceLock|LazyLock|Cell|Atomic)' \
+    crates/core/src crates/mem/src crates/prefetchers/src crates/sequitur/src \
+    crates/service/src crates/sim/src crates/telemetry/src crates/trace/src || true)
+cache_hits=$(printf '%s\n' "$globals" | grep -c '^crates/sim/src/trace_cache.rs:' || true)
+if printf '%s\n' "$globals" | grep -v -e '^crates/sim/src/trace_cache.rs:' -e '^$' >/dev/null ||
+    [ "$cache_hits" -gt 1 ]; then
+    echo "process-global mutable state (only the trace cache's one instance is allowed):"
+    printf '%s\n' "$globals"
+    exit 1
+fi
 
 if [ "${1:-}" != "--fast" ]; then
     mark build-release
