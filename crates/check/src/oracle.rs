@@ -1036,7 +1036,9 @@ fn mshr_model(trace: &[AccessEvent]) -> Result<(), Violation> {
 }
 
 /// Tier 2: production prefetch buffer vs the `Vec` reference, compared
-/// on every outcome, occupancy, and the lifetime statistics.
+/// on every outcome, occupancy, and the lifetime statistics. After every
+/// operation the buffer's counting filter must count exactly the
+/// buffered lines.
 fn buffer_model(trace: &[AccessEvent]) -> Result<(), Violation> {
     const O: &str = "buffer_model";
     let mut prod = PrefetchBuffer::new(4);
@@ -1083,6 +1085,12 @@ fn buffer_model(trace: &[AccessEvent]) -> Result<(), Violation> {
             }
         }
         ensure_eq!(O, prod.len(), model.len(), "op {i}: occupancy");
+        if !prod.filter_is_exact() {
+            return Err(violation(
+                O,
+                format!("op {i}: filter counts differ from the buffered lines"),
+            ));
+        }
     }
     let (p, m) = (prod.stats(), model.stats());
     ensure_eq!(

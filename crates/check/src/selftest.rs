@@ -1,6 +1,6 @@
 //! Proof that the oracles have teeth: known bugs, injected and caught.
 //!
-//! Eight mutations live in the production crates behind
+//! Nine mutations live in the production crates behind
 //! `#[cfg(domino_mutate)]`, each selected at runtime by the
 //! `DOMINO_MUTATE` environment variable. The self-test re-executes the
 //! current binary in `--smoke` mode once per mutation (plus one clean
@@ -26,7 +26,7 @@ pub struct Mutation {
 }
 
 /// Every injected mutation, with its catching oracle.
-pub const MUTATIONS: [Mutation; 8] = [
+pub const MUTATIONS: [Mutation; 9] = [
     Mutation {
         name: "eit_skip_promotion",
         oracle: "eit_model",
@@ -46,6 +46,11 @@ pub const MUTATIONS: [Mutation; 8] = [
         name: "buffer_sticky_take",
         oracle: "buffer_model",
         what: "buffer hits leave the entry resident",
+    },
+    Mutation {
+        name: "buffer_filter_stale_count",
+        oracle: "buffer_model",
+        what: "stream discards leave the prefetch buffer's filter counts behind",
     },
     Mutation {
         name: "ring_wrap_off_by_one",

@@ -127,6 +127,19 @@ impl SetAssocCache {
         &mut self.lines[base..base + self.occ[idx] as usize]
     }
 
+    /// The slot a full set evicts on this insert: 0, the oldest, under
+    /// LRU and FIFO. `Random` steps its xorshift state on every insert,
+    /// full set or not, and only it pays for the modulo.
+    fn victim_slot(&mut self, replacement: Replacement) -> usize {
+        if replacement != Replacement::Random {
+            return 0;
+        }
+        self.rand_state ^= self.rand_state << 13;
+        self.rand_state ^= self.rand_state >> 7;
+        self.rand_state ^= self.rand_state << 17;
+        (self.rand_state % self.config.ways as u64) as usize
+    }
+
     /// Looks up a line, updating replacement state. Returns `true` on hit.
     pub fn access(&mut self, line: LineAddr) -> bool {
         let promote = self.config.replacement == Replacement::Lru;
@@ -157,12 +170,7 @@ impl SetAssocCache {
         let replacement = self.config.replacement;
         let ways = self.config.ways;
         let idx = self.set_index(line);
-        if replacement == Replacement::Random {
-            self.rand_state ^= self.rand_state << 13;
-            self.rand_state ^= self.rand_state >> 7;
-            self.rand_state ^= self.rand_state << 17;
-        }
-        let victim_pos = (self.rand_state % ways as u64) as usize;
+        let victim_pos = self.victim_slot(replacement);
         let set = self.set_slice_mut(idx);
         // Branchless presence reduction first: an insert's common case
         // is a new line (every demand fill follows a failed lookup, and
@@ -186,12 +194,8 @@ impl SetAssocCache {
             return None;
         }
         if set.len() == ways {
-            let evict_pos = match replacement {
-                Replacement::Lru | Replacement::Fifo => 0,
-                Replacement::Random => victim_pos,
-            };
-            let evicted = set[evict_pos];
-            set[evict_pos..].rotate_left(1);
+            let evicted = set[victim_pos];
+            set[victim_pos..].rotate_left(1);
             set[ways - 1] = line;
             Some(evicted)
         } else {
@@ -227,20 +231,11 @@ impl SetAssocCache {
             return (true, None);
         }
         self.misses += 1;
-        if replacement == Replacement::Random {
-            self.rand_state ^= self.rand_state << 13;
-            self.rand_state ^= self.rand_state >> 7;
-            self.rand_state ^= self.rand_state << 17;
-        }
-        let victim_pos = (self.rand_state % ways as u64) as usize;
+        let victim_pos = self.victim_slot(replacement);
         if n == ways {
             let set = &mut self.lines[base..base + n];
-            let evict_pos = match replacement {
-                Replacement::Lru | Replacement::Fifo => 0,
-                Replacement::Random => victim_pos,
-            };
-            let evicted = set[evict_pos];
-            set[evict_pos..].rotate_left(1);
+            let evicted = set[victim_pos];
+            set[victim_pos..].rotate_left(1);
             set[ways - 1] = line;
             (false, Some(evicted))
         } else {

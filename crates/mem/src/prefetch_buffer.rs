@@ -8,6 +8,15 @@
 //! Entries carry an arrival timestamp so the timing model can distinguish
 //! *timely* hits (block already arrived) from *partial* hits (block still
 //! in flight; the demand access waits the residual latency).
+//!
+//! Every L1 miss probes the buffer and most probes miss, so a counting
+//! filter sits in front of the entry scan: one count per hash bucket of
+//! the buffered lines, about eight buckets per slot. A line whose bucket
+//! count is zero is not buffered, and [`PrefetchBuffer::take`],
+//! [`PrefetchBuffer::insert`] and [`PrefetchBuffer::contains`] answer it
+//! without walking the entries. The filter only decides whether to scan,
+//! never what a scan finds, so entry order, outcomes and statistics are
+//! those of the plain scan.
 
 use std::collections::VecDeque;
 
@@ -60,6 +69,20 @@ pub enum InsertOutcome {
     Evicted(BufferedPrefetch),
 }
 
+/// Filter buckets per buffer slot (rounded up to a power of two in all).
+const FILTER_BUCKETS_PER_SLOT: usize = 8;
+
+/// Fibonacci multiplier for the filter's line hash.
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The filter bucket of `line` under `mask` (bucket count minus one).
+/// Bits 32 and up of a multiplicative hash: consecutive lines and
+/// large power-of-two strides both spread over the buckets.
+#[inline]
+fn bucket(line: LineAddr, mask: usize) -> usize {
+    (line.raw().wrapping_mul(HASH_MUL) >> 32) as usize & mask
+}
+
 /// LRU prefetch buffer with a fixed capacity in cache blocks.
 ///
 /// ```
@@ -76,6 +99,11 @@ pub struct PrefetchBuffer {
     capacity: usize,
     /// Front = LRU victim end; back = most recent.
     entries: VecDeque<BufferedPrefetch>,
+    /// Counting filter: `counts[bucket(line)]` is the number of entries
+    /// whose line falls in that bucket. Zero proves a line absent.
+    counts: Vec<u16>,
+    /// Bucket count minus one (the count is a power of two).
+    mask: usize,
     stats: PrefetchBufferStats,
 }
 
@@ -84,12 +112,30 @@ impl PrefetchBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or exceeds `u16::MAX`.
     pub fn new(capacity: usize) -> Self {
+        let buckets = capacity
+            .saturating_mul(FILTER_BUCKETS_PER_SLOT)
+            .next_power_of_two();
+        PrefetchBuffer::with_filter_buckets(capacity, buckets)
+    }
+
+    /// A buffer whose counting filter has `buckets` counts, a power of
+    /// two. Fewer buckets only mean more scans that find nothing; results
+    /// never depend on the bucket count, which the tests check with one
+    /// and two buckets.
+    fn with_filter_buckets(capacity: usize, buckets: usize) -> Self {
         assert!(capacity > 0, "prefetch buffer needs capacity");
+        assert!(
+            u16::try_from(capacity).is_ok(),
+            "prefetch buffer capacity {capacity} exceeds the filter's u16 counts"
+        );
+        debug_assert!(buckets.is_power_of_two());
         PrefetchBuffer {
             capacity,
             entries: VecDeque::with_capacity(capacity),
+            counts: vec![0; buckets],
+            mask: buckets - 1,
             stats: PrefetchBufferStats::default(),
         }
     }
@@ -105,7 +151,7 @@ impl PrefetchBuffer {
     /// [`InsertOutcome`] reports which of the three happened.
     pub fn insert(&mut self, line: LineAddr, ready_at: f64, stream: Option<u32>) -> InsertOutcome {
         self.stats.inserted += 1;
-        if self.entries.iter().any(|e| e.line == line) {
+        if self.contains(line) {
             self.stats.duplicate_inserts += 1;
             return InsertOutcome::Duplicate;
         }
@@ -118,6 +164,9 @@ impl PrefetchBuffer {
         let count_eviction = true;
         let victim = if self.entries.len() == self.capacity {
             let v = self.entries.pop_front();
+            if let Some(v) = v {
+                self.counts[bucket(v.line, self.mask)] -= 1;
+            }
             if count_eviction {
                 self.stats.evicted_unused += 1;
             }
@@ -130,6 +179,7 @@ impl PrefetchBuffer {
             ready_at,
             stream,
         });
+        self.counts[bucket(line, self.mask)] += 1;
         match victim {
             Some(v) => InsertOutcome::Evicted(v),
             None => InsertOutcome::Inserted,
@@ -139,6 +189,10 @@ impl PrefetchBuffer {
     /// Demand lookup: on hit, removes and returns the entry (the block
     /// moves into the L1) and counts a useful prefetch.
     pub fn take(&mut self, line: LineAddr) -> Option<BufferedPrefetch> {
+        let b = bucket(line, self.mask);
+        if self.counts[b] == 0 {
+            return None;
+        }
         let pos = self.entries.iter().position(|e| e.line == line)?;
         self.stats.hits += 1;
         // Injected bug for the checker self-test: the hit is counted but
@@ -147,12 +201,13 @@ impl PrefetchBuffer {
         if domino_telemetry::mutate_active("buffer_sticky_take") {
             return self.entries.get(pos).copied();
         }
+        self.counts[b] -= 1;
         self.entries.remove(pos)
     }
 
-    /// Peeks without consuming (used by tests and debug displays).
+    /// Whether `line` is buffered, without consuming it.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|e| e.line == line)
+        self.counts[bucket(line, self.mask)] != 0 && self.entries.iter().any(|e| e.line == line)
     }
 
     /// Discards all entries belonging to `stream` (stream replacement —
@@ -169,17 +224,38 @@ impl PrefetchBuffer {
         stream: u32,
         mut observe: impl FnMut(&BufferedPrefetch),
     ) -> usize {
+        // Injected bug for the checker self-test: discarded lines keep
+        // their filter counts, so the filter no longer matches the entries.
+        #[cfg(domino_mutate)]
+        let uncount = !domino_telemetry::mutate_active("buffer_filter_stale_count");
+        #[cfg(not(domino_mutate))]
+        let uncount = true;
         let before = self.entries.len();
+        let (counts, mask) = (&mut self.counts, self.mask);
         self.entries.retain(|e| {
             let keep = e.stream != Some(stream);
             if !keep {
                 observe(e);
+                if uncount {
+                    counts[bucket(e.line, mask)] -= 1;
+                }
             }
             keep
         });
         let discarded = before - self.entries.len();
         self.stats.discarded_unused += discarded as u64;
         discarded
+    }
+
+    /// Whether every filter count equals the number of buffered lines in
+    /// its bucket: the invariant that lets a zero count skip the scan.
+    /// The checker's buffer model asserts it after every operation.
+    pub fn filter_is_exact(&self) -> bool {
+        let mut counts = vec![0u16; self.counts.len()];
+        for e in &self.entries {
+            counts[bucket(e.line, self.mask)] += 1;
+        }
+        counts == self.counts
     }
 
     /// Number of buffered blocks.
@@ -306,5 +382,55 @@ mod tests {
     #[should_panic(expected = "needs capacity")]
     fn zero_capacity_panics() {
         PrefetchBuffer::new(0);
+    }
+
+    #[test]
+    fn paper_buffer_filters_with_eight_buckets_per_slot() {
+        let b = PrefetchBuffer::paper();
+        assert_eq!(b.counts.len(), 256);
+        assert!(b.filter_is_exact());
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_filter() {
+        // A one-bucket filter shares its bucket among all lines, so it
+        // scans on every probe of a non-empty buffer: the plain scan. Two
+        // buckets mix shared buckets with empty ones. Every outcome must
+        // match the default filter's, and every removal path (take,
+        // eviction, stream discard) must leave each filter exact.
+        let mut bufs = [
+            PrefetchBuffer::new(4),
+            PrefetchBuffer::with_filter_buckets(4, 1),
+            PrefetchBuffer::with_filter_buckets(4, 2),
+        ];
+        let mut state = 0x5eed_u64;
+        for i in 0..4000u32 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let l = line(state % 11);
+            let stream = Some((state >> 8) as u32 % 3);
+            let op = (state >> 16) % 8;
+            let outcomes: Vec<String> = bufs
+                .iter_mut()
+                .map(|b| match op {
+                    0..=3 => format!("{:?}", b.insert(l, f64::from(i), stream)),
+                    4 | 5 => format!("{:?}", b.take(l)),
+                    6 => format!("{}", b.contains(l)),
+                    _ => format!("{}", b.discard_stream((state >> 24) as u32 % 3)),
+                })
+                .collect();
+            assert!(
+                outcomes.iter().all(|o| *o == outcomes[0]),
+                "op {i}: {outcomes:?}"
+            );
+            for b in &bufs {
+                assert!(b.filter_is_exact(), "op {i}: filter drifted");
+                assert_eq!(b.len(), bufs[0].len());
+            }
+        }
+        let stats = bufs[0].stats();
+        assert!(stats.hits > 0 && stats.evicted_unused > 0 && stats.discarded_unused > 0);
+        assert!(bufs.iter().all(|b| b.stats() == stats));
     }
 }

@@ -225,7 +225,9 @@ impl<'a> CoreEngine<'a> {
     /// its demand fill reads the L1, so hoisting the fill to the probe is
     /// unobservable, and the dropped-request gate reads the live
     /// post-fill state. L1 hits return before the epoch clock ticks: it
-    /// counts L1 misses.
+    /// counts L1 misses. Each L1 miss probes and, on a miss, fills the
+    /// LLC with one fused scan too: the fill always followed the probe
+    /// directly.
     pub(crate) fn step(&mut self, ev: &AccessEvent, l2: &mut SetAssocCache, dram: &mut Dram) {
         let report = &mut self.report;
         report.instructions += u64::from(ev.gap_insts) + 1;
@@ -251,13 +253,10 @@ impl<'a> CoreEngine<'a> {
         let (data_ready, covered) = match self.buffer.take(line) {
             Some(entry) => {
                 // Promote in the LLC exactly as the demand access would
-                // have (covered lines must not decay to LRU victims).
-                let was_in_l2 = l2.access(line);
-                // A used prefetch moves into the cache hierarchy like a
+                // have (covered lines must not decay to LRU victims). A
+                // used prefetch moves into the cache hierarchy like a
                 // demand fill (unused ones never leave the buffer).
-                if !was_in_l2 {
-                    l2.insert(line);
-                }
+                let was_in_l2 = l2.access_insert(line).0;
                 if entry.ready_at <= self.now {
                     report.timely_hits += 1;
                     if let Some(rec) = self.tel.tracer() {
@@ -312,10 +311,9 @@ impl<'a> CoreEngine<'a> {
                         rec.demand_miss(stamp(self.now), line.raw(), knows);
                     }
                 }
-                if l2.access(line) {
+                if l2.access_insert(line).0 {
                     (self.now + self.l2_lat, false)
                 } else {
-                    l2.insert(line);
                     // MSHR-bounded demand access: merge with an in-flight
                     // miss, otherwise wait for a free register and transfer.
                     let completion = match self.mshrs.completion_of(line) {

@@ -6,7 +6,7 @@
 //! emit fixed-size binary [`TraceEvent`] records — prefetch issue,
 //! metadata-lookup start/end, buffer fill, demand hit, late arrival,
 //! unused eviction, dropped insert, EIT replacement — into a
-//! preallocated ring that keeps the most recent `capacity` events. In
+//! ring that keeps the most recent `capacity` events. In
 //! parallel, a bounded [correlation table](CorrelationTable) remembers
 //! the disposition of recently prefetched lines, so that when a demand
 //! miss arrives *uncovered* the recorder can attribute it to the
@@ -32,10 +32,14 @@
 //! replay of the stored events reproduces the same buckets
 //! ([`TraceFile::verify`] cross-checks both).
 //!
-//! The hot path allocates nothing: the ring and the correlation table
+//! The hot path allocates nothing for rings of up to
+//! [`DEFAULT_TRACE_CAPACITY`] events: the ring and the correlation table
 //! are preallocated at construction, a record is a bounds-checked index
 //! write, and a disabled recorder costs the caller one `Option` branch
-//! (see `Telemetry::tracer`).
+//! (see `Telemetry::tracer`). A larger capacity is a bound, not a
+//! reservation: the ring doubles as events arrive, never past it, so
+//! memory follows the events a run records and a huge `--trace` value
+//! cannot abort the process on its first allocation.
 //!
 //! # Binary file format (`trace_*.bin`, version 1, little-endian)
 //!
@@ -410,7 +414,7 @@ impl FlightRecorder {
         assert!(capacity > 0, "flight recorder needs capacity");
         FlightRecorder {
             capacity,
-            ring: Vec::with_capacity(capacity),
+            ring: Vec::with_capacity(capacity.min(DEFAULT_TRACE_CAPACITY)),
             recorded: 0,
             attribution: Attribution::default(),
             table: CorrelationTable::new(CORRELATION_SLOTS),
@@ -436,6 +440,11 @@ impl FlightRecorder {
             aux,
         };
         if self.ring.len() < self.capacity {
+            if self.ring.len() == self.ring.capacity() {
+                // Double, but never past the capacity.
+                let len = self.ring.len();
+                self.ring.reserve_exact(len.min(self.capacity - len));
+            }
             self.ring.push(ev);
         } else {
             // Injected bug for the checker self-test: overwrite one slot
@@ -909,6 +918,35 @@ mod tests {
         assert!(r.wrapped());
         let times: Vec<u64> = r.events().map(|e| e.time).collect();
         assert_eq!(times, vec![6, 7, 8, 9], "chronological tail");
+    }
+
+    #[test]
+    fn huge_capacity_reserves_only_what_is_recorded() {
+        // `figures --trace 100000000000000` reaches this constructor; a
+        // 3.2 PB reservation would abort the process.
+        let mut r = FlightRecorder::new(100_000_000_000_000);
+        assert!(r.ring.capacity() <= DEFAULT_TRACE_CAPACITY);
+        let n = DEFAULT_TRACE_CAPACITY as u64 + 3;
+        for t in 0..n {
+            r.issue(t, t, None, 0);
+        }
+        assert!(!r.wrapped());
+        assert_eq!(r.len() as u64, n);
+        assert!(r.ring.capacity() <= 2 * DEFAULT_TRACE_CAPACITY);
+        assert!(r.events().map(|e| e.time).eq(0..n));
+    }
+
+    #[test]
+    fn a_growing_ring_stops_at_its_capacity_and_wraps() {
+        let capacity = DEFAULT_TRACE_CAPACITY + 10;
+        let mut r = FlightRecorder::new(capacity);
+        let n = 2 * capacity as u64 + 5;
+        for t in 0..n {
+            r.issue(t, t, None, 0);
+        }
+        assert_eq!(r.ring.capacity(), capacity, "grew past the capacity");
+        assert!(r.wrapped());
+        assert!(r.events().map(|e| e.time).eq(n - capacity as u64..n));
     }
 
     #[test]

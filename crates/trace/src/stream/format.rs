@@ -251,34 +251,89 @@ fn encode_raw(events: &[AccessEvent], out: &mut Vec<u8>) {
     }
 }
 
+/// The event a 24-byte record image spells, and the image's invalid bits:
+/// any bit of the kind and dependent bytes above bit 0, and the pad
+/// bytes. The image is a valid record exactly when they are zero.
+pub(crate) fn record_event(b: &[u8; RECORD_BYTES]) -> (AccessEvent, u64) {
+    let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+    let flags = word(16) >> 32;
+    let ev = AccessEvent {
+        pc: Pc::new(word(0)),
+        addr: Addr::new(word(8)),
+        kind: if flags & 1 == 0 {
+            AccessKind::Read
+        } else {
+            AccessKind::Write
+        },
+        gap_insts: u32::from_le_bytes(b[16..20].try_into().expect("4 bytes")),
+        dependent: flags >> 8 & 1 == 1,
+    };
+    (ev, flags & !0x0101)
+}
+
 /// Decodes one 24-byte record image; strict about every spare bit so that
 /// corruption cannot round-trip silently.
 pub fn decode_record(b: &[u8; RECORD_BYTES]) -> Result<AccessEvent, String> {
-    let pc = u64::from_le_bytes(b[0..8].try_into().expect("8 bytes"));
-    let addr = u64::from_le_bytes(b[8..16].try_into().expect("8 bytes"));
-    let gap = u32::from_le_bytes(b[16..20].try_into().expect("4 bytes"));
-    let kind = match b[20] {
-        0 => AccessKind::Read,
-        1 => AccessKind::Write,
-        other => return Err(format!("invalid kind byte {other:#04x}")),
-    };
-    let dependent = match b[21] {
-        0 => false,
-        1 => true,
-        other => return Err(format!("invalid dependent byte {other:#04x}")),
-    };
-    if b[22] != 0 || b[23] != 0 {
-        return Err(format!("nonzero pad bytes {:#04x} {:#04x}", b[22], b[23]));
+    let (ev, invalid) = record_event(b);
+    if invalid == 0 {
+        return Ok(ev);
     }
-    Ok(AccessEvent {
-        pc: Pc::new(pc),
-        addr: Addr::new(addr),
-        kind,
-        gap_insts: gap,
-        dependent,
-    })
+    if b[20] > 1 {
+        return Err(format!("invalid kind byte {:#04x}", b[20]));
+    }
+    if b[21] > 1 {
+        return Err(format!("invalid dependent byte {:#04x}", b[21]));
+    }
+    Err(format!("nonzero pad bytes {:#04x} {:#04x}", b[22], b[23]))
 }
 
+/// Appends the events of `bytes`, a run of whole record images, to `out`.
+/// All of them are checked as [`decode_record`] checks one, but in a
+/// single pass that builds no `Result` per record; only when a record is
+/// invalid does a second pass find the first such record, whose index
+/// and [`decode_record`] error are returned (and `out` is left as it was).
+pub(crate) fn decode_records(
+    bytes: &[u8],
+    out: &mut Vec<AccessEvent>,
+) -> Result<(), (usize, String)> {
+    let (records, _) = bytes.as_chunks::<RECORD_BYTES>();
+    let start = out.len();
+    let mut invalid = 0;
+    out.extend(records.iter().map(|rec| {
+        let (ev, bits) = record_event(rec);
+        invalid |= bits;
+        ev
+    }));
+    if invalid == 0 {
+        return Ok(());
+    }
+    out.truncate(start);
+    Err(first_invalid(records))
+}
+
+/// Checks `records` as [`decode_records`] does, without decoding them
+/// anywhere.
+pub(crate) fn check_records(records: &[[u8; RECORD_BYTES]]) -> Result<(), (usize, String)> {
+    let invalid = records
+        .iter()
+        .fold(0, |bits, rec| bits | record_event(rec).1);
+    if invalid == 0 {
+        return Ok(());
+    }
+    Err(first_invalid(records))
+}
+
+/// The index and [`decode_record`] error of the first invalid record in
+/// `records`, which holds one.
+fn first_invalid(records: &[[u8; RECORD_BYTES]]) -> (usize, String) {
+    records
+        .iter()
+        .enumerate()
+        .find_map(|(i, rec)| decode_record(rec).err().map(|detail| (i, detail)))
+        .expect("invalid bits come from some record")
+}
+
+#[cfg(test)]
 fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
@@ -286,16 +341,43 @@ fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// One FNV-1a step per byte of `word`, low byte first: the word's
+/// little-endian image.
+#[inline(always)]
+fn fnv_word(mut h: u64, word: u64) -> u64 {
+    for shift in (0..64).step_by(8) {
+        h = (h ^ (word >> shift & 0xff)).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// FNV-1a over one event's record image, continuing from `h`.
+#[inline(always)]
+fn fnv_record(h: u64, ev: &AccessEvent) -> u64 {
+    record_words(ev).into_iter().fold(h, fnv_word)
+}
+
 /// FNV-1a digest over the record images of `events` — the chunk digest
 /// stored in the index, identical for raw and compressed encodings.
 pub fn digest_events(events: &[AccessEvent]) -> u64 {
-    let mut h = FNV_BASIS;
-    let mut rec = [0u8; RECORD_BYTES];
-    for ev in events {
-        encode_record(ev, &mut rec);
-        h = fnv_bytes(h, &rec);
+    events.iter().fold(FNV_BASIS, fnv_record)
+}
+
+/// [`digest_events`] of two chunks at once. FNV-1a is one chain of
+/// dependent multiplies, 24 per event; stepping two independent chains
+/// event by event side by side keeps two multiplies in flight, so the
+/// pair costs little more than one chunk does alone.
+fn digest_pair(a: &[AccessEvent], b: &[AccessEvent]) -> (u64, u64) {
+    let n = a.len().min(b.len());
+    let (mut ha, mut hb) = (FNV_BASIS, FNV_BASIS);
+    for (x, y) in a[..n].iter().zip(&b[..n]) {
+        ha = fnv_record(ha, x);
+        hb = fnv_record(hb, y);
     }
-    h
+    (
+        a[n..].iter().fold(ha, fnv_record),
+        b[n..].iter().fold(hb, fnv_record),
+    )
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -644,7 +726,8 @@ fn header_bytes(events: u64, chunk_events: u32, codec: Codec, index_offset: u64)
 /// index (alignment, contiguity, event totals, raw record sizing) before
 /// any payload is touched; [`TraceReader::read_chunk_into`] then verifies
 /// each chunk's digest as it decodes. Memory use is one chunk's payload
-/// (`scratch`) plus the decoded events the caller asked for.
+/// (`scratch`) and the Sequitur decoder's tables, both reused from chunk
+/// to chunk, plus the decoded events the caller asked for.
 #[derive(Debug)]
 pub struct TraceReader<R: Read + Seek> {
     src: R,
@@ -653,6 +736,7 @@ pub struct TraceReader<R: Read + Seek> {
     codec: Codec,
     index: Vec<ChunkMeta>,
     scratch: Vec<u8>,
+    decoder: compress::Decoder,
     peak_scratch: u64,
 }
 
@@ -800,6 +884,7 @@ impl<R: Read + Seek> TraceReader<R> {
             codec,
             index,
             scratch: Vec::new(),
+            decoder: compress::Decoder::default(),
             peak_scratch: 0,
         })
     }
@@ -840,8 +925,8 @@ impl<R: Read + Seek> TraceReader<R> {
     }
 
     /// Peak bytes of decode-side working memory used so far: the encoded
-    /// payload scratch buffer plus the codec's dictionary/grammar
-    /// temporaries. Feeds the [`crate::stream::EventSource`] resident-byte
+    /// payload scratch buffer plus the Sequitur decoder's rule tables
+    /// and stack. Feeds the [`crate::stream::EventSource`] resident-byte
     /// accounting.
     pub fn peak_scratch_bytes(&self) -> u64 {
         self.peak_scratch
@@ -861,47 +946,85 @@ impl<R: Read + Seek> TraceReader<R> {
         idx: usize,
         out: &mut Vec<AccessEvent>,
     ) -> Result<(), TraceFileError> {
+        self.expand_chunk_into(idx, out)?;
+        self.verify_chunk(idx, digest_events(out))
+    }
+
+    /// Reads chunks `idx` and `idx + 1` into `first` and `second`, as two
+    /// [`TraceReader::read_chunk_into`] calls would, but verifies both
+    /// digests with two interleaved FNV-1a chains.
+    ///
+    /// Returns `Err` with chunk `idx`'s own error if it fails, whatever
+    /// chunk `idx + 1` holds; otherwise `first` is verified and the inner
+    /// result is chunk `idx + 1`'s. Errors are therefore exactly those of
+    /// the two single reads in order.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceReader::read_chunk_into`], for chunk `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx + 1 >= chunk_count()`.
+    pub(crate) fn read_chunk_pair_into(
+        &mut self,
+        idx: usize,
+        first: &mut Vec<AccessEvent>,
+        second: &mut Vec<AccessEvent>,
+    ) -> Result<Result<(), TraceFileError>, TraceFileError> {
+        assert!(idx + 1 < self.chunk_count(), "chunk {idx} has no successor");
+        self.expand_chunk_into(idx, first)?;
+        let expanded = self.expand_chunk_into(idx + 1, second);
+        let (digest_first, digest_second) = match expanded {
+            Ok(()) => digest_pair(first, second),
+            Err(_) => (digest_events(first), 0),
+        };
+        self.verify_chunk(idx, digest_first)?;
+        Ok(expanded.and_then(|()| self.verify_chunk(idx + 1, digest_second)))
+    }
+
+    /// Reads and decodes chunk `idx` into `out` (cleared first) without
+    /// checking its digest.
+    fn expand_chunk_into(
+        &mut self,
+        idx: usize,
+        out: &mut Vec<AccessEvent>,
+    ) -> Result<(), TraceFileError> {
         let meta = self.index[idx];
         self.src.seek(SeekFrom::Start(meta.offset))?;
-        self.scratch.clear();
+        // The read overwrites every byte, so only growth is zero-filled.
         self.scratch.resize(meta.byte_len as usize, 0);
         self.src.read_exact(&mut self.scratch)?;
         out.clear();
-        let mut aux_bytes = 0u64;
-        let actual = match self.codec {
+        match self.codec {
             Codec::Raw => {
-                out.reserve(meta.events as usize);
-                let mut h = FNV_BASIS;
-                for (i, rec) in self.scratch.chunks_exact(RECORD_BYTES).enumerate() {
-                    let rec: &[u8; RECORD_BYTES] = rec.try_into().expect("exact chunks");
-                    match decode_record(rec) {
-                        Ok(ev) => out.push(ev),
-                        Err(detail) => {
-                            return Err(TraceFileError::BadRecord {
-                                chunk: idx,
-                                detail: format!("record {i}: {detail}"),
-                            })
-                        }
+                decode_records(&self.scratch, out).map_err(|(i, detail)| {
+                    TraceFileError::BadRecord {
+                        chunk: idx,
+                        detail: format!("record {i}: {detail}"),
                     }
-                    h = fnv_bytes(h, rec);
-                }
-                h
+                })?;
             }
             Codec::Sequitur => {
-                let (events, aux) = compress::decode_chunk(&self.scratch, meta.events, idx)?;
-                aux_bytes = aux + (events.capacity() * RECORD_BYTES) as u64;
-                let digest = digest_events(&events);
-                out.extend_from_slice(&events);
-                digest
+                self.decoder
+                    .decode_into(&self.scratch, meta.events, idx, out)?;
             }
-        };
+        }
         self.peak_scratch = self
             .peak_scratch
-            .max(self.scratch.capacity() as u64 + aux_bytes);
-        if actual != meta.digest {
+            .max(self.scratch.capacity() as u64 + self.decoder.held_bytes());
+        Ok(())
+    }
+
+    /// Checks chunk `idx`'s decoded digest against the index. Decoding
+    /// is strict, so the events' record images are the payload's (raw)
+    /// or the encoder's input (Sequitur) byte for byte.
+    fn verify_chunk(&self, idx: usize, actual: u64) -> Result<(), TraceFileError> {
+        let expected = self.index[idx].digest;
+        if actual != expected {
             return Err(TraceFileError::DigestMismatch {
                 chunk: idx,
-                expected: meta.digest,
+                expected,
                 actual,
             });
         }
@@ -1132,6 +1255,26 @@ mod tests {
                 (len, digest),
                 "{} file drifted",
                 codec.label()
+            );
+        }
+    }
+
+    #[test]
+    fn digests_are_fnv_over_record_images_one_chain_or_two() {
+        let events = sample(700);
+        let mut image = Vec::new();
+        for ev in &events {
+            let mut rec = [0u8; RECORD_BYTES];
+            encode_record(ev, &mut rec);
+            image.extend_from_slice(&rec);
+        }
+        assert_eq!(digest_events(&events), fnv_bytes(FNV_BASIS, &image));
+        for (a, b) in [(0, 0), (0, 5), (5, 0), (300, 300), (299, 700), (700, 1)] {
+            let (x, y) = (&events[..a], &events[events.len() - b..]);
+            assert_eq!(
+                digest_pair(x, y),
+                (digest_events(x), digest_events(y)),
+                "{a}+{b}"
             );
         }
     }

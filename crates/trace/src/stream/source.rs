@@ -116,10 +116,10 @@ impl EventSource for SliceSource {
 
 /// How many chunk-sized buffer footprints [`FileSource`] is allowed: three
 /// ring buffers (one draining, up to two decoded ahead), the
-/// encoded-payload scratch, and codec dictionary/grammar temporaries, each
-/// bounded by roughly one chunk of records (compressed payloads of
-/// repetitive traces are smaller; pathological incompressible chunks still
-/// fit the slack multiple).
+/// encoded-payload scratch, and the codec's grammar tables, each bounded
+/// by roughly one chunk of records (compressed payloads of repetitive
+/// traces are smaller; pathological incompressible chunks still fit the
+/// slack multiple).
 pub const FILE_SOURCE_BUDGET_CHUNKS: u64 = 7;
 
 /// Fixed allowance for channel plumbing and small codec overheads.
@@ -135,8 +135,12 @@ enum Delivery {
 /// A background thread owns the [`TraceReader`] and decodes upcoming
 /// chunks into recycled buffers while the consumer drains the current
 /// one, so file I/O and (for compressed traces) grammar expansion overlap
-/// simulation. Exactly three event buffers circulate; peak resident memory
-/// is `budget_bytes()` — a multiple of the chunk size, never of the trace.
+/// simulation. It decodes two chunks at a time and verifies them with two
+/// interleaved digest chains; a chunk reaches the consumer only after its
+/// own digest matched, in file order, and the first error ends the stream
+/// exactly where chunk-by-chunk reads would. Exactly three event buffers
+/// circulate; peak resident memory is `budget_bytes()` — a multiple of
+/// the chunk size, never of the trace.
 #[derive(Debug)]
 pub struct FileSource {
     total: u64,
@@ -192,23 +196,45 @@ impl FileSource {
         let thread_peak = Arc::clone(&peak);
         let buffer_bytes = 3 * u64::from(chunk_events) * RECORD_BYTES as u64;
         let handle = std::thread::spawn(move || {
-            for idx in 0..chunks {
+            // Sends one chunk's read; false once the stream is over,
+            // because it failed or because the consumer is gone.
+            let deliver = |buf, read: Result<(), TraceFileError>, scratch: u64| match read {
+                Ok(()) => {
+                    let resident = buffer_bytes + scratch;
+                    thread_peak.fetch_max(resident, Ordering::Relaxed);
+                    full_tx.send(Delivery::Chunk(buf, resident)).is_ok()
+                }
+                Err(e) => {
+                    let _ = full_tx.send(Delivery::Failed(e));
+                    false
+                }
+            };
+            // Chunks are read in pairs, so that two FNV-1a chains verify
+            // them side by side; each chunk is sent only once its own
+            // digest matched, and the first error ends the stream.
+            for idx in (0..chunks).step_by(2) {
                 // A closed recycle channel means the consumer is gone.
-                let Ok(mut buf) = recycle_rx.recv() else {
+                let Ok(mut first) = recycle_rx.recv() else {
                     return;
                 };
-                match reader.read_chunk_into(idx, &mut buf) {
-                    Ok(()) => {
-                        let resident = buffer_bytes + reader.peak_scratch_bytes();
-                        thread_peak.fetch_max(resident, Ordering::Relaxed);
-                        if full_tx.send(Delivery::Chunk(buf, resident)).is_err() {
-                            return;
-                        }
+                if idx + 1 == chunks {
+                    let read = reader.read_chunk_into(idx, &mut first);
+                    deliver(first, read, reader.peak_scratch_bytes());
+                    return;
+                }
+                let Ok(mut second) = recycle_rx.recv() else {
+                    return;
+                };
+                let read = reader.read_chunk_pair_into(idx, &mut first, &mut second);
+                let scratch = reader.peak_scratch_bytes();
+                let open = match read {
+                    Ok(second_read) => {
+                        deliver(first, Ok(()), scratch) && deliver(second, second_read, scratch)
                     }
-                    Err(e) => {
-                        let _ = full_tx.send(Delivery::Failed(e));
-                        return;
-                    }
+                    Err(e) => deliver(first, Err(e), scratch),
+                };
+                if !open {
+                    return;
                 }
             }
         });
@@ -302,6 +328,7 @@ mod tests {
     use super::*;
     use crate::stream::format::{write_trace_file, Codec};
     use crate::workload::catalog;
+    use std::path::Path;
 
     fn sample(n: usize) -> Vec<AccessEvent> {
         catalog::media_streaming().generator(9).take(n).collect()
@@ -387,6 +414,146 @@ mod tests {
         let mut chunk = Vec::new();
         src.next_chunk(&mut chunk).unwrap();
         drop(src); // must not deadlock or panic
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Chunks delivered up to the first failure, and that failure.
+    type Outcome = (Vec<Vec<AccessEvent>>, Option<String>);
+
+    /// What reading `path` one chunk at a time yields.
+    fn one_chunk_at_a_time(path: &Path) -> Outcome {
+        let mut reader = TraceReader::open(path).unwrap();
+        let mut chunks = Vec::new();
+        for idx in 0..reader.chunk_count() {
+            let mut chunk = Vec::new();
+            if let Err(e) = reader.read_chunk_into(idx, &mut chunk) {
+                return (chunks, Some(e.to_string()));
+            }
+            chunks.push(chunk);
+        }
+        (chunks, None)
+    }
+
+    /// What a [`FileSource`] over `path` delivers.
+    fn streamed(path: &Path) -> Outcome {
+        let mut src = FileSource::open(path).unwrap();
+        let (mut chunks, mut chunk) = (Vec::new(), Vec::new());
+        loop {
+            match src.next_chunk(&mut chunk) {
+                Ok(0) => return (chunks, None),
+                Ok(_) => chunks.push(chunk.clone()),
+                Err(e) => return (chunks, Some(e.to_string())),
+            }
+        }
+    }
+
+    #[test]
+    fn odd_and_even_chunk_counts_round_trip() {
+        // One chunk, and odd and even counts: the last chunk of an odd
+        // count has no partner and is read alone.
+        let events = sample(650);
+        for codec in [Codec::Raw, Codec::Sequitur] {
+            for total in [1usize, 100, 250, 600, 650] {
+                let path = temp_path("pair-counts");
+                write_trace_file(&path, &events[..total], 100, codec).unwrap();
+                let chunks: Vec<_> = events[..total].chunks(100).map(<[_]>::to_vec).collect();
+                assert_eq!(streamed(&path), (chunks, None), "{codec:?}, {total} events");
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn paired_decode_delivers_exactly_what_single_reads_yield() {
+        // Even and odd chunk counts, both codecs, and one or two damaged
+        // chunks: a stored digest flipped in the index (the payload
+        // decodes, the check fails) or a payload byte flipped (a bad
+        // record or grammar, or a digest mismatch). The source must
+        // deliver the same chunks and stop on the same first error as
+        // single reads, whichever half of a pair is damaged.
+        let events = sample(650);
+        for (tag, codec) in [("pairs-raw", Codec::Raw), ("pairs-seq", Codec::Sequitur)] {
+            for total in [600usize, 650] {
+                let path = temp_path(tag);
+                write_trace_file(&path, &events[..total], 100, codec).unwrap();
+                let clean = std::fs::read(&path).unwrap();
+                let chunks = total.div_ceil(100);
+                assert_eq!(
+                    streamed(&path),
+                    (
+                        events[..total].chunks(100).map(<[_]>::to_vec).collect(),
+                        None
+                    )
+                );
+                let index_at = u64::from_le_bytes(clean[32..40].try_into().unwrap()) as usize;
+                let entry = |k: usize| index_at + 32 * k;
+                let payload = |bytes: &[u8], k: usize| {
+                    let e = entry(k);
+                    let offset = u64::from_le_bytes(bytes[e..e + 8].try_into().unwrap());
+                    let len = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap());
+                    (offset + len / 2) as usize
+                };
+                for k in 0..chunks {
+                    for damage in 0..4 {
+                        let mut bytes = clean.clone();
+                        match damage {
+                            0 => bytes[entry(k) + 24] ^= 1,
+                            1 => bytes[payload(&clean, k)] ^= 0x10,
+                            // A bad first digest before a damaged second
+                            // payload, and the other way round.
+                            2 if k + 1 < chunks => {
+                                bytes[entry(k) + 24] ^= 1;
+                                bytes[payload(&clean, k + 1)] ^= 0x10;
+                            }
+                            3 if k + 1 < chunks => {
+                                bytes[payload(&clean, k)] ^= 0x10;
+                                bytes[entry(k + 1) + 24] ^= 1;
+                            }
+                            _ => continue,
+                        }
+                        std::fs::write(&path, &bytes).unwrap();
+                        let single = one_chunk_at_a_time(&path);
+                        assert!(
+                            single.1.is_some(),
+                            "{tag}: damage {damage} to chunk {k} went unseen"
+                        );
+                        assert_eq!(single.0.len(), k, "{tag}: chunk {k} damage {damage}");
+                        assert_eq!(streamed(&path), single, "{tag}: chunk {k} damage {damage}");
+                    }
+                }
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_first_digest_is_reported_before_its_pair_is_delivered() {
+        // Chunks 2 and 3 are decoded as a pair; chunk 2's stored digest
+        // is wrong, chunk 3 is sound. After chunks 0 and 1 the source
+        // must report chunk 2 and never deliver chunk 3.
+        let events = sample(400);
+        let path = temp_path("pair-first");
+        write_trace_file(&path, &events, 100, Codec::Sequitur).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let index_at = u64::from_le_bytes(bytes[32..40].try_into().unwrap()) as usize;
+        bytes[index_at + 2 * 32 + 24] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut src = FileSource::open(&path).unwrap();
+        let mut chunk = Vec::new();
+        for k in 0..2 {
+            assert_eq!(src.next_chunk(&mut chunk).unwrap(), 100);
+            assert_eq!(chunk, events[k * 100..(k + 1) * 100]);
+        }
+        let err = src.next_chunk(&mut chunk).unwrap_err();
+        assert!(
+            matches!(err, TraceFileError::DigestMismatch { chunk: 2, .. }),
+            "{err}"
+        );
+        assert_eq!(
+            src.next_chunk(&mut chunk).unwrap(),
+            0,
+            "nothing after the error"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
